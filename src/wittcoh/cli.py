@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .cochains import graded_slice, max_length
@@ -35,7 +34,6 @@ class RunConfig:
     n_max: int | None
     q_max: int | None
     fmt: str
-    jobs: int
     seed: int
 
 
@@ -52,7 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n-max", type=int, default=None, help="largest degree")
         p.add_argument("--q-max", type=int, default=None, help="largest cochain length")
         p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-        p.add_argument("--jobs", type=int, default=1, help="worker threads")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
 
     for name, help_text, default_k in (
@@ -74,8 +71,6 @@ def _validate(cfg: RunConfig) -> str | None:
         return "--n-max must be >= 0"
     if cfg.q_max is not None and cfg.q_max < 1:
         return "--q-max must be >= 1"
-    if cfg.jobs < 1:
-        return "--jobs must be >= 1"
     return None
 
 
@@ -94,13 +89,6 @@ def _cells(cfg: RunConfig) -> list[tuple[int, int]]:
             if graded_slice(cfg.k, n, q).dim:
                 out.append((n, q))
     return out
-
-
-def _pool_map(cfg: RunConfig, fn, items):
-    if cfg.jobs == 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _emit_rows(cfg: RunConfig, stdout, header: list[str], rows: list[list], json_payload) -> None:
@@ -122,8 +110,7 @@ def _emit_rows(cfg: RunConfig, stdout, header: list[str], rows: list[list], json
 
 def cmd_dims(cfg: RunConfig, stdout, stderr) -> int:
     cells = _cells(cfg)
-    dims = _pool_map(cfg, lambda cell: cohomology_dim(cfg.k, cell[0], cell[1]), cells)
-    rows = [[n, q, d] for (n, q), d in zip(cells, dims)]
+    rows = [[n, q, cohomology_dim(cfg.k, n, q)] for n, q in cells]
     payload = {"k": cfg.k, "cells": [{"n": n, "q": q, "dim": d} for n, q, d in rows]}
     _emit_rows(cfg, stdout, ["n", "q", "dim"], rows, payload)
     return 0
@@ -131,7 +118,7 @@ def cmd_dims(cfg: RunConfig, stdout, stderr) -> int:
 
 def cmd_poincare(cfg: RunConfig, stdout, stderr) -> int:
     degrees = [n for n in _degree_range(cfg)]
-    computed = _pool_map(cfg, lambda n: poincare_computed(n, cfg.k), degrees)
+    computed = [poincare_computed(n, cfg.k) for n in degrees]
     predicted = [poincare_predicted(n, cfg.k) if cfg.k >= 1 else None for n in degrees]
     rows = []
     for n, comp, pred in zip(degrees, computed, predicted):
@@ -153,10 +140,10 @@ def cmd_poincare(cfg: RunConfig, stdout, stderr) -> int:
 
 def cmd_basis(cfg: RunConfig, stdout, stderr) -> int:
     cells = _cells(cfg)
-    bases = _pool_map(cfg, lambda cell: cohomology_basis(cfg.k, cell[0], cell[1]), cells)
     rows = []
     entries = []
-    for (n, q), basis in zip(cells, bases):
+    for n, q in cells:
+        basis = cohomology_basis(cfg.k, n, q)
         if basis.dim == 0:
             continue
         reps = [[list(mono) for mono in rep.support()] for rep in basis.representatives]
@@ -246,7 +233,6 @@ def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
         n_max=args.n_max,
         q_max=args.q_max,
         fmt=args.format,
-        jobs=args.jobs,
         seed=args.seed,
     )
     problem = _validate(cfg)

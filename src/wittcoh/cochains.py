@@ -147,17 +147,28 @@ def _check_min_index(mono: Monomial, k: int) -> None:
         raise ValueError(f"index {mono[0]} below the minimal index {k}")
 
 
+def _coboundary_terms(mono: Monomial, k: int) -> list[Monomial]:
+    """The monomials of the coboundary of one basis monomial, before the
+    mod-2 cancellation: a monomial listed twice is absent."""
+    out = []
+    for pos, idx in enumerate(mono):
+        pairs = _generator_pairs(idx, k)
+        if not pairs:
+            continue
+        rest = mono[:pos] + mono[pos + 1 :]
+        for a, b in pairs:
+            if a not in rest and b not in rest:
+                out.append(tuple(sorted(rest + (a, b))))
+    return out
+
+
 def coboundary(c: Cochain, k: int = 1) -> Cochain:
     """Raises length by one, preserves degree."""
     acc: set[Monomial] = set()
     for mono in c.terms:
         _check_min_index(mono, k)
-        for pos, idx in enumerate(mono):
-            rest = mono[:pos] + mono[pos + 1 :]
-            for a, b in _generator_pairs(idx, k):
-                m = _merge(rest, (a, b))
-                if m is not None:
-                    acc ^= {m}
+        for m in _coboundary_terms(mono, k):
+            acc ^= {m}
     return Cochain(frozenset(acc))
 
 
@@ -254,7 +265,7 @@ def graded_slice(k: int, n: int, q: int) -> GradedSlice:
     cols = []
     for mono in basis:
         col = 0
-        for term in coboundary(Cochain(frozenset({mono})), k).terms:
+        for term in _coboundary_terms(mono, k):
             col ^= 1 << tpos[term]
         cols.append(col)
     return GradedSlice(k, n, q, basis, BitMatrix.from_columns(cols, len(target)))

@@ -32,7 +32,7 @@ from .cochains import (
     max_length,
     wedge,
 )
-from .gf2 import BitMatrix, Gf2Span
+from .gf2 import Gf2Span
 from .monomials import corrected_wedge, marked_subsets, pair_cocycle
 from .partitions import (
     MarkedPartition,
@@ -72,7 +72,7 @@ class CohomologyClass:
 class CohomologyBasis:
     """Representatives of one block's cohomology plus solving data."""
 
-    __slots__ = ("k", "n", "q", "dim", "representatives", "rep_vecs", "image_vecs", "slice", "_solver")
+    __slots__ = ("k", "n", "q", "dim", "representatives", "rep_vecs", "image_vecs", "slice", "_span")
 
     def __init__(self, k, n, q, rep_vecs, image_vecs, slice_):
         self.k = k
@@ -83,19 +83,18 @@ class CohomologyBasis:
         self.slice = slice_
         self.dim = len(rep_vecs)
         self.representatives = tuple(slice_.cochain(v) for v in rep_vecs)
-        self._solver = None
-
-    def _solve_matrix(self) -> BitMatrix:
-        if self._solver is None:
-            self._solver = BitMatrix.from_columns(
-                list(self.rep_vecs) + list(self.image_vecs), self.slice.dim
-            )
-        return self._solver
+        self._span = None
 
     def class_coords(self, vec: int) -> tuple[int, ...]:
         """Express a kernel vector modulo the image; unique by construction."""
-        x = self._solve_matrix().solve(vec)
-        if x is None:
+        if self._span is None:
+            # representatives and image together are independent: tag each
+            # with its own bit, representatives first
+            self._span = Gf2Span()
+            for j, v in enumerate(self.rep_vecs + self.image_vecs):
+                self._span.add(v, 1 << j)
+        residue, x = self._span.reduce_tagged(vec)
+        if residue:
             raise NotACocycleError("vector is closed but outside kernel span — corrupted complex")
         return tuple((x >> j) & 1 for j in range(self.dim))
 
@@ -107,11 +106,8 @@ def cohomology_basis(k: int, n: int, q: int) -> CohomologyBasis:
     sl = graded_slice(k, n, q)
     image_vecs: list[int] = []
     if q > 1:
-        prev = graded_slice(k, n, q - 1)
         span = Gf2Span()
-        for col in prev.delta.transpose().rows():
-            if span.add(col):
-                image_vecs.append(col)
+        image_vecs = [col for col in graded_slice(k, n, q - 1).delta.columns() if span.add(col)]
     kernel = sl.delta.kernel_basis()
     span = Gf2Span(image_vecs)
     rep_vecs = [v for v in kernel if span.add(v)]

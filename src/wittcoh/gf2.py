@@ -1,9 +1,13 @@
 """Exact linear algebra over the two-element field.
 
-Matrices are dense and bit-packed: each row is a Python int whose bit j is
-the entry in column j, so a row operation is a single whole-row XOR.  At the
-sizes this library needs (a few thousand columns at most) plain Gaussian
-elimination on int rows is both the simplest and the fastest option.
+Vectors are bit-packed Python ints, and a matrix is dense and bit-packed by
+rows: row i is an int whose bit j is the entry in column j.  Every
+elimination goes through one primitive, the tagged span ``Gf2Span``.  It
+keeps one reduced vector per leading bit, so inserting or reducing a vector
+costs one whole-int XOR per pivot it meets, never a bit test per row.  Next
+to each pivot it can keep a tag: the set of inputs XORed into it, as a
+bitmask over their positions.  A kernel, a solution or an inverse is then
+read off the tags of a single pass over the inputs.
 """
 
 from __future__ import annotations
@@ -52,18 +56,9 @@ class BitMatrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[int], nrows: int) -> "BitMatrix":
-        rows = [0] * nrows
-        for j, col in enumerate(columns):
-            if col >> nrows:
-                raise ValueError("column has bits outside the row range")
-            while col:
-                low = col & -col
-                rows[low.bit_length() - 1] |= 1 << j
-                col ^= low
-        return cls(nrows, len(columns), rows)
-
-    def entry(self, i: int, j: int) -> int:
-        return (self._rows[i] >> j) & 1
+        if any(col >> nrows for col in columns):
+            raise ValueError("column has bits outside the row range")
+        return cls(nrows, len(columns), _transposed(columns, nrows))
 
     def row(self, i: int) -> int:
         return self._rows[i]
@@ -81,7 +76,7 @@ class BitMatrix:
         return not any(self._rows)
 
     def transpose(self) -> "BitMatrix":
-        return BitMatrix.from_columns(self._rows, self.ncols)
+        return BitMatrix(self.ncols, self.nrows, self.columns())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitMatrix):
@@ -117,108 +112,112 @@ class BitMatrix:
         return out
 
     def rank(self) -> int:
-        span = Gf2Span()
-        for r in self._rows:
-            span.add(r)
-        return span.rank
+        return Gf2Span(self._rows).rank
 
-    def _rref(self) -> tuple[list[int], list[int]]:
-        """Row-reduce a working copy; returns (rows, pivot column per row)."""
-        work = list(self._rows)
-        pivots: list[int] = []
-        r = 0
-        for c in range(self.ncols):
-            pivot = next((i for i in range(r, len(work)) if (work[i] >> c) & 1), None)
-            if pivot is None:
-                continue
-            work[r], work[pivot] = work[pivot], work[r]
-            for i in range(len(work)):
-                if i != r and (work[i] >> c) & 1:
-                    work[i] ^= work[r]
-            pivots.append(c)
-            r += 1
-            if r == len(work):
-                break
-        return work, pivots
+    def columns(self) -> list[int]:
+        """Every column as a bitmask over the rows."""
+        return _transposed(self._rows, self.ncols)
 
     def kernel_basis(self) -> list[int]:
-        """Basis of the right null space, one vector per free column."""
-        work, pivots = self._rref()
-        pivot_set = set(pivots)
+        """Basis of the right null space, one vector per free column.
+
+        One tagged pass over the columns in order: a column that reduces to
+        zero against the earlier pivot columns yields its tag as a kernel
+        vector.  That tag involves the free column itself and pivot columns
+        only, so it is the vector read off the reduced row echelon form.
+        """
+        span = Gf2Span()
         basis = []
-        for free in range(self.ncols):
-            if free in pivot_set:
-                continue
-            v = 1 << free
-            for row_idx, pc in enumerate(pivots):
-                if (work[row_idx] >> free) & 1:
-                    v |= 1 << pc
-            basis.append(v)
+        for j, col in enumerate(self.columns()):
+            residue, tag = span.reduce_tagged(col, 1 << j)
+            if residue:
+                span.add(residue, tag)
+            else:
+                basis.append(tag)
         return basis
 
     def solve(self, target: int) -> int | None:
         """A coefficient vector x with self @ x == target, or None.
 
         Interprets the matrix columns as spanning vectors; x selects a
-        combination of them producing the target.
+        combination of the pivot columns (the columns independent of the
+        ones before them) producing the target.
         """
         if target >> self.nrows:
             raise ValueError("target has bits outside the row range")
-        aug = BitMatrix(
-            self.nrows,
-            self.ncols + 1,
-            [r | (((target >> i) & 1) << self.ncols) for i, r in enumerate(self._rows)],
-        )
-        work, pivots = aug._rref()
-        x = 0
-        for row_idx, pc in enumerate(pivots):
-            if pc == self.ncols:
-                return None  # pivot in the augmented column: inconsistent
-            if (work[row_idx] >> self.ncols) & 1:
-                x |= 1 << pc
-        return x
+        span = Gf2Span()
+        for j, col in enumerate(self.columns()):
+            span.add(col, 1 << j)
+        residue, x = span.reduce_tagged(target)
+        return None if residue else x
 
     def inverse(self) -> "BitMatrix":
+        """Row j of the inverse is the combination of rows that sums to e_j."""
         if self.nrows != self.ncols:
             raise ValueError("only square matrices can be inverted")
+        span = Gf2Span()
+        for i, r in enumerate(self._rows):
+            if not span.add(r, 1 << i):
+                raise ValueError("matrix is singular over GF(2)")
         n = self.nrows
-        aug = BitMatrix(n, 2 * n, [r | (1 << (n + i)) for i, r in enumerate(self._rows)])
-        work, pivots = aug._rref()
-        if pivots[:n] != list(range(n)):
-            raise ValueError("matrix is singular over GF(2)")
-        mask = (1 << n) - 1
-        return BitMatrix(n, n, [work[i] >> n & mask for i in range(n)])
+        return BitMatrix(n, n, [span.reduce_tagged(1 << j)[1] for j in range(n)])
+
+
+def _transposed(vectors: Sequence[int], width: int) -> list[int]:
+    """Bit i of output j is bit j of vectors[i], for j < width."""
+    out = [0] * width
+    for i, v in enumerate(vectors):
+        bit = 1 << i
+        while v:
+            low = v & -v
+            out[low.bit_length() - 1] |= bit
+            v ^= low
+    return out
 
 
 class Gf2Span:
-    """Incrementally built span of GF(2) bit vectors.
+    """Incrementally built span of GF(2) bit vectors, with a tag per pivot.
 
-    Keeps one reduced vector per leading bit, so membership tests and rank
-    updates are a handful of XORs.
+    Keeps one reduced vector per leading bit.  A vector inserted with a tag
+    is stored with the tag XORed with the tags of the pivots that reduced
+    it (a zero tag is not stored), so when every input is tagged with its own
+    bit, each pivot's tag says which inputs sum to it, and ``reduce_tagged``
+    says which inputs sum to the part of a vector that the span covers.
     """
 
-    __slots__ = ("_pivots",)
+    __slots__ = ("_pivots", "_tags")
 
     def __init__(self, vectors: Iterable[int] = ()):
         self._pivots: dict[int, int] = {}
+        self._tags: dict[int, int] = {}
         for v in vectors:
             self.add(v)
 
     def reduce(self, v: int) -> int:
+        """The residue of v modulo the span."""
+        return self.reduce_tagged(v)[0]
+
+    def reduce_tagged(self, v: int, tag: int = 0) -> tuple[int, int]:
+        """The residue of v modulo the span, and tag XORed with the tags used."""
+        pivots, tags = self._pivots, self._tags
         while v:
             top = v.bit_length() - 1
-            basis = self._pivots.get(top)
+            basis = pivots.get(top)
             if basis is None:
                 break
             v ^= basis
-        return v
+            tag ^= tags.get(top, 0)
+        return v, tag
 
-    def add(self, v: int) -> bool:
-        """Insert v; True if it enlarged the span."""
-        v = self.reduce(v)
+    def add(self, v: int, tag: int = 0) -> bool:
+        """Insert v with its tag; True if it enlarged the span."""
+        v, tag = self.reduce_tagged(v, tag)
         if v == 0:
             return False
-        self._pivots[v.bit_length() - 1] = v
+        top = v.bit_length() - 1
+        self._pivots[top] = v
+        if tag:
+            self._tags[top] = tag
         return True
 
     def __contains__(self, v: int) -> bool:
@@ -227,8 +226,3 @@ class Gf2Span:
     @property
     def rank(self) -> int:
         return len(self._pivots)
-
-    def copy(self) -> "Gf2Span":
-        new = Gf2Span()
-        new._pivots = dict(self._pivots)
-        return new

@@ -77,18 +77,10 @@ class MarkedPartition:
     def length(self) -> int:
         return self.base.length + len(self.marks)
 
-    @property
-    def reduced_length(self) -> int:
-        return self.base.length
-
     def __str__(self) -> str:
         marked = set(self.marks)
         body = ",".join(f"{p}*" if p in marked else str(p) for p in self.base.parts)
         return "<" + body + ">"
-
-
-def unmarked(p: Partition) -> MarkedPartition:
-    return MarkedPartition(p, ())
 
 
 def _require_nonempty(p: Partition) -> None:
@@ -130,11 +122,6 @@ def is_simple(p: Partition, k: int = 1) -> bool:
 def is_odd(p: Partition) -> bool:
     _require_nonempty(p)
     return all(x % 2 == 1 for x in p.parts)
-
-
-def is_even(p: Partition) -> bool:
-    _require_nonempty(p)
-    return all(x % 2 == 0 for x in p.parts)
 
 
 def _require_regular(p: Partition, k: int) -> None:

@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wittcoh.cochains import graded_slice, max_length
 from wittcoh.gf2 import BitMatrix, Gf2Span
 
 
@@ -26,6 +29,115 @@ def naive_rank(rows):
         if row == len(rows):
             break
     return rank
+
+
+def rref(rows, ncols):
+    """Reference row reduction of packed rows; returns (rows, pivot column per row)."""
+    work = list(rows)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(work)) if (work[i] >> c) & 1), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        for i in range(len(work)):
+            if i != r and (work[i] >> c) & 1:
+                work[i] ^= work[r]
+        pivots.append(c)
+        r += 1
+        if r == len(work):
+            break
+    return work, pivots
+
+
+def rref_kernel(m):
+    """One kernel vector per free column, read off the reduced rows."""
+    work, pivots = rref(m.rows(), m.ncols)
+    basis = []
+    for free in range(m.ncols):
+        if free in pivots:
+            continue
+        v = 1 << free
+        for row_idx, pc in enumerate(pivots):
+            if (work[row_idx] >> free) & 1:
+                v |= 1 << pc
+        basis.append(v)
+    return basis
+
+
+def rref_solve(m, target):
+    """The solution supported on pivot columns, from the augmented reduction."""
+    aug = [r | (((target >> i) & 1) << m.ncols) for i, r in enumerate(m.rows())]
+    work, pivots = rref(aug, m.ncols + 1)
+    x = 0
+    for row_idx, pc in enumerate(pivots):
+        if pc == m.ncols:
+            return None
+        if (work[row_idx] >> m.ncols) & 1:
+            x |= 1 << pc
+    return x
+
+
+def rref_inverse(m):
+    """Reduce [m | I]; None when m is singular."""
+    n = m.nrows
+    work, pivots = rref([r | (1 << (n + i)) for i, r in enumerate(m.rows())], 2 * n)
+    if pivots[:n] != list(range(n)):
+        return None
+    return BitMatrix(n, n, [work[i] >> n & ((1 << n) - 1) for i in range(n)])
+
+
+@st.composite
+def matrices(draw, max_side=12, square=False):
+    nrows = draw(st.integers(0, max_side))
+    ncols = nrows if square else draw(st.integers(0, max_side))
+    rows = draw(st.lists(st.integers(0, (1 << ncols) - 1), min_size=nrows, max_size=nrows))
+    return BitMatrix(nrows, ncols, rows)
+
+
+@st.composite
+def invertible_matrices(draw, max_side=12):
+    """Lower times upper unitriangular: always invertible."""
+    n = draw(st.integers(0, max_side))
+    lower = [(1 << i) | draw(st.integers(0, (1 << i) - 1)) for i in range(n)]
+    upper = [(1 << i) | draw(st.integers(0, (1 << n) - 1)) >> (i + 1) << (i + 1) for i in range(n)]
+    return BitMatrix(n, n, lower) @ BitMatrix(n, n, upper)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices())
+def test_kernel_matches_rref_oracle(m):
+    assert m.kernel_basis() == rref_kernel(m)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(), st.data())
+def test_solve_matches_rref_oracle(m, data):
+    inside = m.mul_vec(data.draw(st.integers(0, (1 << m.ncols) - 1)))
+    anywhere = data.draw(st.integers(0, (1 << m.nrows) - 1))
+    for target in (inside, anywhere):
+        assert m.solve(target) == rref_solve(m, target)
+    assert m.solve(inside) is not None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(matrices(square=True), invertible_matrices()))
+def test_inverse_matches_rref_oracle(m):
+    want = rref_inverse(m)
+    if want is None:
+        with pytest.raises(ValueError):
+            m.inverse()
+    else:
+        assert m.inverse() == want
+
+
+def test_slice_kernels_match_rref_oracle():
+    for k in (-1, 0, 1, 2):
+        for n in range(k, 31):
+            for q in range(1, max_length(k, n) + 1):
+                delta = graded_slice(k, n, q).delta
+                assert delta.kernel_basis() == rref_kernel(delta), (k, n, q)
 
 
 def test_rank_identity():
@@ -146,3 +258,13 @@ def test_span_membership():
     assert 0b101 in span
     assert 0b100 not in span
     assert span.rank == 2
+    assert span.reduce(0b101) == 0
+    assert span.reduce(0b111) == 0b001
+
+
+def test_span_tags_record_the_inputs_used():
+    span = Gf2Span()
+    span.add(0b011, 0b01)
+    span.add(0b110, 0b10)
+    assert span.reduce_tagged(0b101) == (0, 0b11)
+    assert span.reduce_tagged(0b111, 0b100) == (0b001, 0b110)
