@@ -64,9 +64,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Subcommands defined at one minimal index only.
+_FIXED_K = {"conjecture": 1, "extensions": -1}
+
+
 def _validate(cfg: RunConfig) -> str | None:
     if cfg.k < -1:
         return "--k must be >= -1"
+    if cfg.k != _FIXED_K.get(cfg.command, cfg.k):
+        return f"{cfg.command} needs --k {_FIXED_K[cfg.command]}"
     if cfg.n_max is not None and cfg.n_max < 0:
         return "--n-max must be >= 0"
     if cfg.q_max is not None and cfg.q_max < 1:

@@ -20,18 +20,34 @@ matrix of the coboundary into the next block.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
-from .caching import cached
+from .caching import cached, clear_all
 from .gf2 import BitMatrix
 from .partitions import strict_index_tuples
 
 Monomial = tuple[int, ...]
 
-# Test hook: the verification suite's negative control drops the last
-# expansion term of this generator's coboundary.  Clear the caches around it.
-_corrupted_generator: int | None = None
+# The generator whose coboundary drops its last expansion term; set only
+# inside ``corrupted_generator``.
+_corrupted_index: int | None = None
+
+
+@contextmanager
+def corrupted_generator(i: int) -> Iterator[None]:
+    """Negative control: inside the block, the coboundary of e_i drops its
+    last expansion term.  Every cache is cleared on entry and on exit, so no
+    clean slice is reused inside and no corrupted one outlives the block."""
+    global _corrupted_index
+    clear_all()
+    _corrupted_index = i
+    try:
+        yield
+    finally:
+        _corrupted_index = None
+        clear_all()
 
 
 def _merge(m1: Monomial, m2: Monomial) -> Monomial | None:
@@ -137,7 +153,7 @@ def _generator_pairs(i: int, k: int) -> list[tuple[int, int]]:
     if i % 2 == 0:  # the coefficient a+b = i vanishes mod 2
         return []
     pairs = [(a, i - a) for a in range(k, (i - 1) // 2 + 1)]
-    if _corrupted_generator == i and pairs:
+    if _corrupted_index == i and pairs:
         pairs = pairs[:-1]
     return pairs
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .caching import cached
 from .cochains import Cochain, wedge
 from .cohomology import class_of, cohomology_dim
 from .gf2 import Gf2Span
@@ -70,9 +71,11 @@ def multiply(a: BigradedMonomial, b: BigradedMonomial) -> BigradedMonomial | Non
     return BigradedMonomial(a.has_e or b.has_e, xs, ys)
 
 
-def monomials_in_bidegree(q: int, n: int) -> list[BigradedMonomial]:
+@cached
+def _bidegree_words(q: int, n: int) -> tuple[BigradedMonomial, ...]:
+    """The square-free words of bidegree (q, n), sorted; memoized per bidegree."""
     if q < 0 or n < 0:
-        return []
+        return ()
     out = []
     for has_e in (False, True):
         qq, nn = q - has_e, n - has_e
@@ -91,7 +94,12 @@ def monomials_in_bidegree(q: int, n: int) -> list[BigradedMonomial]:
                     for ys in ys_list:
                         out.append(BigradedMonomial(bool(has_e), xs, ys))
     out.sort(key=lambda m: (m.has_e, m.xs, m.ys))
-    return out
+    return tuple(out)
+
+
+def monomials_in_bidegree(q: int, n: int) -> list[BigradedMonomial]:
+    """The words of bidegree (q, n), as a list the caller may change."""
+    return list(_bidegree_words(q, n))
 
 
 def relation_generators(n_cap: int) -> list[tuple[str, list[BigradedMonomial]]]:
@@ -119,14 +127,14 @@ def relation_generators(n_cap: int) -> list[tuple[str, list[BigradedMonomial]]]:
 def ideal_rank(q: int, n: int) -> int:
     """Rank of the ideal's intersection with one bidegree: the span of
     generator-times-monomial products landing there."""
-    ambient = monomials_in_bidegree(q, n)
+    ambient = _bidegree_words(q, n)
     pos = {m: i for i, m in enumerate(ambient)}
     span = Gf2Span()
     for _, terms in relation_generators(n):
         gq, gn = terms[0].bidegree
         if gq > q or gn > n:
             continue
-        for m in monomials_in_bidegree(q - gq, n - gn):
+        for m in _bidegree_words(q - gq, n - gn):
             vec = 0
             for t in terms:
                 prod = multiply(t, m)

@@ -60,9 +60,6 @@ class BitMatrix:
             raise ValueError("column has bits outside the row range")
         return cls(nrows, len(columns), _transposed(columns, nrows))
 
-    def row(self, i: int) -> int:
-        return self._rows[i]
-
     def rows(self) -> list[int]:
         return list(self._rows)
 

@@ -22,7 +22,7 @@ then lexicographic comparison of mark sets.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
 
@@ -31,6 +31,8 @@ class Partition:
     """Weakly increasing tuple of positive integer parts (may be empty)."""
 
     parts: tuple[int, ...]
+    degree: int = field(init=False, compare=False, repr=False)
+    length: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         parts = tuple(self.parts)
@@ -40,14 +42,8 @@ class Partition:
                 raise ValueError(f"part {p} is not a positive integer")
             if i and parts[i - 1] > p:
                 raise ValueError(f"parts not weakly increasing: {parts}")
-
-    @property
-    def degree(self) -> int:
-        return sum(self.parts)
-
-    @property
-    def length(self) -> int:
-        return len(self.parts)
+        object.__setattr__(self, "degree", sum(parts))
+        object.__setattr__(self, "length", len(parts))
 
     def __str__(self) -> str:
         return "<" + ",".join(map(str, self.parts)) + ">"
@@ -59,6 +55,8 @@ class MarkedPartition:
 
     base: Partition
     marks: tuple[int, ...] = ()
+    degree: int = field(init=False, compare=False, repr=False)
+    length: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         marks = tuple(self.marks)
@@ -68,14 +66,8 @@ class MarkedPartition:
                 raise ValueError(f"mark {m} is not a part of {self.base}")
             if i and marks[i - 1] >= m:
                 raise ValueError(f"marks not strictly increasing: {marks}")
-
-    @property
-    def degree(self) -> int:
-        return self.base.degree
-
-    @property
-    def length(self) -> int:
-        return self.base.length + len(self.marks)
+        object.__setattr__(self, "degree", self.base.degree)
+        object.__setattr__(self, "length", self.base.length + len(marks))
 
     def __str__(self) -> str:
         marked = set(self.marks)
@@ -109,10 +101,15 @@ def is_dense(p: Partition) -> bool:
     return all(b - a == 2 for a, b in zip(p.parts, p.parts[1:]))
 
 
+def _special_parts(parts: tuple[int, ...], k: int) -> bool:
+    """Special, for a regular part tuple with every part >= k."""
+    return parts[-1] < 2 * (k + len(parts) - 1)
+
+
 def is_special(p: Partition, k: int = 1) -> bool:
     """Regular with max part < 2*(k+q-1); rejects parts below k."""
     _require_min_part(p, k)
-    return is_regular(p) and p.parts[-1] < 2 * (k + p.length - 1)
+    return is_regular(p) and _special_parts(p.parts, k)
 
 
 def is_simple(p: Partition, k: int = 1) -> bool:
@@ -130,6 +127,25 @@ def _require_regular(p: Partition, k: int) -> None:
         raise ValueError(f"{p} is not regular")
 
 
+def _components(parts: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
+    """The canonical decomposition of a regular part tuple, in one scan.
+
+    A simple component grown by a gap of exactly 2 stays simple: a dense one
+    stays dense, and a special one stays special, as its bound
+    ``2*(k+len-1)`` grows by 2 as well.  Across a wider gap it stays simple
+    only if it is special at its new length.  Simplicity is prefix-closed, so
+    cutting at the first part that fails gives the longest simple prefix.
+    """
+    out = []
+    start = 0
+    for i in range(1, len(parts)):
+        if parts[i] - parts[i - 1] != 2 and parts[i] >= 2 * (k + i - start):
+            out.append(parts[start:i])
+            start = i
+    out.append(parts[start:])
+    return out
+
+
 def canonical_decomposition(p: Partition, k: int = 1) -> list[Partition]:
     """Split a regular partition into simple components of maximal length.
 
@@ -137,25 +153,17 @@ def canonical_decomposition(p: Partition, k: int = 1) -> list[Partition]:
     taking the longest simple prefix at each step is well defined.
     """
     _require_regular(p, k)
-    parts = p.parts
-    out = []
-    start = 0
-    while start < len(parts):
-        end = start + 1
-        while end < len(parts) and is_simple(Partition(parts[start : end + 1]), k):
-            end += 1
-        out.append(Partition(parts[start:end]))
-        start = end
-    return out
+    return [Partition(c) for c in _components(p.parts, k)]
 
 
 def leading_parts(p: Partition, k: int = 1) -> list[int]:
     """Minimal parts of the odd non-special simple components."""
-    out = []
-    for comp in canonical_decomposition(p, k):
-        if is_odd(comp) and not is_special(comp, k):
-            out.append(comp.parts[0])
-    return out
+    _require_regular(p, k)
+    return [
+        c[0]
+        for c in _components(p.parts, k)
+        if not _special_parts(c, k) and all(x % 2 for x in c)
+    ]
 
 
 def is_regular_marked(mp: MarkedPartition, k: int = 1) -> bool:
@@ -274,7 +282,8 @@ def marked_regular_partitions(n: int, q: int, k: int = 1) -> list[MarkedPartitio
     if k < 1:
         raise ValueError("marked enumeration needs k >= 1")
     out = []
-    for m in range(1, q + 1):
+    # a base of m parts has at most m leading parts, so it needs m >= q/2
+    for m in range((q + 1) // 2, q + 1):
         for base in regular_partitions(n, m, k):
             need = q - m
             if need == 0:
@@ -297,8 +306,8 @@ def cohomology_partitions(n: int, k: int = 1) -> list[Partition]:
     out = []
     for q in range(1, max_regular_length(n, k) + 1):
         for p in regular_partitions(n, q, k):
-            comps = canonical_decomposition(p, k)
-            if all(is_special(c, k) or c.degree % 2 == 0 for c in comps):
+            comps = _components(p.parts, k)
+            if all(_special_parts(c, k) or sum(c) % 2 == 0 for c in comps):
                 out.append(p)
     out.sort(key=lambda p: p.parts)
     return out
@@ -339,7 +348,7 @@ def even_component_marked(n: int, q: int) -> list[MarkedPartition]:
     return [
         mp
         for mp in marked_regular_partitions(n, q, 1)
-        if all(c.degree % 2 == 0 for c in canonical_decomposition(mp.base, 1))
+        if all(sum(c) % 2 == 0 for c in _components(mp.base.parts, 1))
     ]
 
 

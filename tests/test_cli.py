@@ -2,7 +2,6 @@ import csv
 import io
 import json
 
-import wittcoh
 from wittcoh import cli
 from wittcoh import cochains
 
@@ -112,16 +111,15 @@ def test_verify_small_bound_passes():
     assert code == 0
 
 
-def test_verify_detects_corrupted_coboundary(monkeypatch):
-    wittcoh.clear_caches()
-    monkeypatch.setattr(cochains, "_corrupted_generator", 9)
-    try:
+def test_verify_detects_corrupted_coboundary():
+    with cochains.corrupted_generator(9):
         code, out, _ = run(["verify", "--n-max", "12", "--k", "2"])
-        assert code == 1
-        assert "FAIL" in out
-    finally:
-        monkeypatch.setattr(cochains, "_corrupted_generator", None)
-        wittcoh.clear_caches()
+    assert code == 1
+    assert "FAIL" in out
+    # the block cleared the caches on exit: no corrupted slice is reused
+    code, out, _ = run(["verify", "--n-max", "12", "--k", "2"])
+    assert code == 0
+    assert "FAIL" not in out
 
 
 def test_usage_errors_exit_2():
@@ -130,6 +128,15 @@ def test_usage_errors_exit_2():
     code, _, err = run(["dims", "--k", "-3", "--n-max", "4"])
     assert code == 2
     assert "error" in err
+    # conjecture scans minimal index 1 only, extensions minimal index -1 only
+    code, out, err = run(["conjecture", "--k", "2", "--n-max", "4"])
+    assert code == 2 and out == ""
+    assert "--k" in err
+    code, out, err = run(["extensions", "--k", "1", "--n-max", "4"])
+    assert code == 2 and out == ""
+    assert "--k" in err
+    assert run(["conjecture", "--k", "1", "--n-max", "4"])[0] == 0
+    assert run(["extensions", "--k", "-1", "--n-max", "4"])[0] == 0
 
 
 def test_validation_rejects_bad_bounds():

@@ -6,6 +6,7 @@ from wittcoh.cochains import (
     Cochain,
     boundary,
     coboundary,
+    corrupted_generator,
     generator,
     generator_action,
     graded_slice,
@@ -178,6 +179,18 @@ def test_slice_degree3():
 
 def test_slice_empty():
     assert graded_slice(2, 4, 2).dim == 0
+
+
+def test_corrupted_generator_is_scoped_to_its_block():
+    clean = graded_slice(1, 9, 1).delta.rows()
+    assert coboundary(generator(9), 1) == c((1, 8), (2, 7), (3, 6), (4, 5))
+    with corrupted_generator(9):
+        # the cached clean slice was dropped on entry
+        assert graded_slice(1, 9, 1).delta.rows() != clean
+        assert coboundary(generator(9), 1) == c((1, 8), (2, 7), (3, 6))
+    # and the corrupted one on exit
+    assert graded_slice(1, 9, 1).delta.rows() == clean
+    assert coboundary(generator(9), 1) == c((1, 8), (2, 7), (3, 6), (4, 5))
 
 
 def test_slice_coords_roundtrip():

@@ -1,3 +1,5 @@
+import wittcoh
+from wittcoh import conjecture
 from wittcoh.cohomology import cohomology_dim
 from wittcoh.conjecture import (
     BigradedMonomial,
@@ -22,6 +24,20 @@ def test_monomials_small_bidegrees():
     assert names(monomials_in_bidegree(2, 3)) == ["E^X1"]
     assert names(monomials_in_bidegree(3, 12)) == ["X1^X2^X3", "X2^Y2", "X4^Y1"]
     assert monomials_in_bidegree(1, 3) == []
+
+
+def test_monomials_in_bidegree_returns_a_fresh_list():
+    first = monomials_in_bidegree(3, 12)
+    first.clear()
+    assert names(monomials_in_bidegree(3, 12)) == ["X1^X2^X3", "X2^Y2", "X4^Y1"]
+    assert monomials_in_bidegree(3, 12) is not monomials_in_bidegree(3, 12)
+
+
+def test_clear_caches_empties_the_bidegree_memo():
+    monomials_in_bidegree(3, 12)
+    assert conjecture._bidegree_words.cache_info().currsize > 0
+    wittcoh.clear_caches()
+    assert conjecture._bidegree_words.cache_info().currsize == 0
 
 
 def test_multiply_square_free():

@@ -17,6 +17,7 @@ from wittcoh.partitions import (
     count_special,
     even_component_marked,
     is_dense,
+    is_odd,
     is_regular,
     is_regular_marked,
     is_simple,
@@ -81,6 +82,26 @@ def test_special_for_k1_is_the_unique_initial_chain():
         assert specials == [P(*range(1, 2 * q, 2))]
 
 
+def test_stored_degree_and_length():
+    empty = Partition(())
+    assert (empty.degree, empty.length) == (0, 0)
+    assert (P(2, 5).degree, P(2, 5).length) == (7, 2)
+    assert (M((5, 7), (5,)).degree, M((5, 7), (5,)).length) == (12, 3)
+    assert (M((3, 5, 9), (3, 9)).degree, M((3, 5, 9), (3, 9)).length) == (17, 5)
+    assert (M(()).degree, M(()).length) == (0, 0)
+    with pytest.raises(AttributeError):
+        P(1, 3).degree = 5  # frozen
+
+
+def test_stored_fields_leave_equality_hash_and_repr_alone():
+    assert repr(Partition((1, 3))) == "Partition(parts=(1, 3))"
+    assert repr(M((1, 3), (3,))) == "MarkedPartition(base=Partition(parts=(1, 3)), marks=(3,))"
+    assert Partition([1, 3]) == P(1, 3) != P(4)
+    assert hash(P(1, 3)) == hash(((1, 3),))
+    assert hash(M((1, 3), (3,))) == hash((P(1, 3), (3,)))
+    assert M((1, 3), (3,)) == M([1, 3], [3]) != M((1, 3))
+
+
 def test_invalid_partitions_rejected():
     with pytest.raises(ValueError):
         Partition((3, 2))
@@ -108,8 +129,11 @@ def test_singleton_decomposition():
 
 
 def test_decomposition_rejects_irregular():
-    with pytest.raises(ValueError):
-        canonical_decomposition(P(1, 2), 1)
+    for split in (canonical_decomposition, leading_parts):
+        with pytest.raises(ValueError):
+            split(P(1, 2), 1)
+        with pytest.raises(ValueError):
+            split(P(1, 3), 2)  # part below the minimal part
 
 
 def test_worked_leading_parts():
@@ -133,6 +157,31 @@ def test_decomposition_roundtrip_and_simplicity():
                     for a, b in zip(comps, comps[1:]):
                         joined = Partition(a.parts + b.parts[:1])
                         assert not is_simple(joined, k)
+
+
+def reference_decomposition(p, k):
+    """The greedy split as first written: rebuild and re-test every prefix."""
+    parts = p.parts
+    out = []
+    start = 0
+    while start < len(parts):
+        end = start + 1
+        while end < len(parts) and is_simple(Partition(parts[start : end + 1]), k):
+            end += 1
+        out.append(Partition(parts[start:end]))
+        start = end
+    return out
+
+
+def test_decomposition_matches_prefix_rebuilding_reference():
+    for k in (1, 2, 3):
+        for n in range(k, 37):
+            for q in range(1, max_regular_length(n, k) + 1):
+                for p in regular_partitions(n, q, k):
+                    comps = reference_decomposition(p, k)
+                    assert canonical_decomposition(p, k) == comps, (p, k)
+                    leads = [c.parts[0] for c in comps if is_odd(c) and not is_special(c, k)]
+                    assert leading_parts(p, k) == leads, (p, k)
 
 
 def test_is_regular_marked():
@@ -234,6 +283,24 @@ def test_marked_regular_examples():
     assert [(m.base.parts, m.marks) for m in marked_regular_partitions(4, 2, 1)] == [((1, 3), ())]
     twelves = marked_regular_partitions(12, 2, 1)
     assert len(twelves) == len(strict_partitions(12, 2))
+
+
+def unpruned_marked(n, q, k):
+    """Marked enumeration over every base length 1..q."""
+    out = []
+    for m in range(1, q + 1):
+        for base in regular_partitions(n, m, k):
+            for marks in combinations(leading_parts(base, k), q - m):
+                out.append(MarkedPartition(base, marks))
+    out.sort(key=lambda mp: (mp.base.parts, mp.marks))
+    return out
+
+
+def test_marked_enumeration_matches_unpruned():
+    for k in (1, 2, 3):
+        for n in range(1, 31):
+            for q in range(1, n + 3):
+                assert marked_regular_partitions(n, q, k) == unpruned_marked(n, q, k), (n, q, k)
 
 
 def test_counting_identity_small():
