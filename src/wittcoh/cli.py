@@ -152,9 +152,10 @@ def cmd_basis(cfg: RunConfig, stdout, stderr) -> int:
         basis = cohomology_basis(cfg.k, n, q)
         if basis.dim == 0:
             continue
-        reps = [[list(mono) for mono in rep.support()] for rep in basis.representatives]
+        representatives = basis.representatives
+        reps = [[list(mono) for mono in rep.support()] for rep in representatives]
         entries.append({"n": n, "q": q, "dim": basis.dim, "representatives": reps})
-        pretty = "; ".join(str(rep) for rep in basis.representatives)
+        pretty = "; ".join(str(rep) for rep in representatives)
         rows.append([n, q, basis.dim, pretty])
     payload = {"k": cfg.k, "cells": entries}
     _emit_rows(cfg, stdout, ["n", "q", "dim", "representatives"], rows, payload)

@@ -163,16 +163,17 @@ def _check_min_index(mono: Monomial, k: int) -> None:
         raise ValueError(f"index {mono[0]} below the minimal index {k}")
 
 
-def _coboundary_terms(mono: Monomial, k: int) -> list[Monomial]:
+def _coboundary_terms(mono: Monomial, pairs: dict[int, list[tuple[int, int]]]) -> list[Monomial]:
     """The monomials of the coboundary of one basis monomial, before the
-    mod-2 cancellation: a monomial listed twice is absent."""
+    mod-2 cancellation: a monomial listed twice is absent.  ``pairs`` maps
+    each index of the monomial to its ``_generator_pairs``."""
     out = []
     for pos, idx in enumerate(mono):
-        pairs = _generator_pairs(idx, k)
-        if not pairs:
+        expansion = pairs[idx]
+        if not expansion:
             continue
         rest = mono[:pos] + mono[pos + 1 :]
-        for a, b in pairs:
+        for a, b in expansion:
             if a not in rest and b not in rest:
                 out.append(tuple(sorted(rest + (a, b))))
     return out
@@ -180,10 +181,12 @@ def _coboundary_terms(mono: Monomial, k: int) -> list[Monomial]:
 
 def coboundary(c: Cochain, k: int = 1) -> Cochain:
     """Raises length by one, preserves degree."""
-    acc: set[Monomial] = set()
     for mono in c.terms:
         _check_min_index(mono, k)
-        for m in _coboundary_terms(mono, k):
+    pairs = {i: _generator_pairs(i, k) for mono in c.terms for i in mono}
+    acc: set[Monomial] = set()
+    for mono in c.terms:
+        for m in _coboundary_terms(mono, pairs):
             acc ^= {m}
     return Cochain(frozenset(acc))
 
@@ -231,22 +234,62 @@ class GradedSlice:
     """Monomial basis of one (degree, length) block and its coboundary matrix.
 
     ``delta`` has one column per basis monomial of this block and one row per
-    basis monomial of the (q+1)-block of the same degree.
+    basis monomial of the (q+1)-block of the same degree.  The first
+    elimination of ``delta`` records its pivot columns as one bitmask, so the
+    image of ``delta`` is read off without eliminating again.
     """
 
-    __slots__ = ("k", "n", "q", "basis", "delta", "_pos")
+    __slots__ = ("k", "n", "q", "basis", "delta", "_pos", "_pivots")
 
-    def __init__(self, k: int, n: int, q: int, basis: tuple[Monomial, ...], delta: BitMatrix):
+    def __init__(
+        self,
+        k: int,
+        n: int,
+        q: int,
+        basis: tuple[Monomial, ...],
+        delta: BitMatrix,
+        pos: dict[Monomial, int] | None = None,
+    ):
         self.k = k
         self.n = n
         self.q = q
         self.basis = basis
         self.delta = delta
-        self._pos = {m: i for i, m in enumerate(basis)}
+        self._pos = {m: i for i, m in enumerate(basis)} if pos is None else pos
+        self._pivots: int | None = None
 
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    def kernel_basis(self) -> list[int]:
+        """The kernel of ``delta``, one vector per free column (see
+        ``BitMatrix.kernel_basis``); records the pivot columns on the way.
+
+        Each kernel vector's highest bit is its free column, and every other
+        column is a pivot column.
+        """
+        kernel = self.delta.kernel_basis()
+        free = 0
+        for v in kernel:
+            free |= 1 << (v.bit_length() - 1)
+        self._pivots = ((1 << self.dim) - 1) ^ free
+        return kernel
+
+    def image_basis(self) -> list[int]:
+        """The pivot columns of ``delta``, in column order: the columns that
+        are independent of the ones before them, a basis of the image in the
+        (q+1)-block.  Eliminates ``delta`` only if it never was."""
+        if self._pivots is None:
+            self.kernel_basis()
+        cols = self.delta.columns()
+        out = []
+        v = self._pivots
+        while v:
+            low = v & -v
+            out.append(cols[low.bit_length() - 1])
+            v ^= low
+        return out
 
     def coords(self, c: Cochain) -> int:
         v = 0
@@ -270,21 +313,30 @@ class GradedSlice:
 
 
 @cached
+def _monomials(k: int, n: int, q: int) -> tuple[tuple[Monomial, ...], dict[Monomial, int]]:
+    """The (n, q) monomial basis and each monomial's position in it: the
+    basis of slice q and the target of slice q-1."""
+    basis = tuple(strict_index_tuples(n, q, k))
+    return basis, {m: i for i, m in enumerate(basis)}
+
+
+@cached
 def graded_slice(k: int, n: int, q: int) -> GradedSlice:
     if k < -1:
         raise ValueError("minimal index must be >= -1")
     if q < 1:
         raise ValueError("length must be >= 1")
-    basis = tuple(strict_index_tuples(n, q, k))
-    target = strict_index_tuples(n, q + 1, k)
-    tpos = {m: i for i, m in enumerate(target)}
+    basis, pos = _monomials(k, n, q)
+    target, tpos = _monomials(k, n, q + 1)
+    top = max((mono[-1] for mono in basis), default=k)
+    pairs = {i: _generator_pairs(i, k) for i in range(k, top + 1)}
     cols = []
     for mono in basis:
         col = 0
-        for term in _coboundary_terms(mono, k):
+        for term in _coboundary_terms(mono, pairs):
             col ^= 1 << tpos[term]
         cols.append(col)
-    return GradedSlice(k, n, q, basis, BitMatrix.from_columns(cols, len(target)))
+    return GradedSlice(k, n, q, basis, BitMatrix.from_columns(cols, len(target)), pos)
 
 
 def max_length(k: int, n: int) -> int:

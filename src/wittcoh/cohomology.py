@@ -72,7 +72,7 @@ class CohomologyClass:
 class CohomologyBasis:
     """Representatives of one block's cohomology plus solving data."""
 
-    __slots__ = ("k", "n", "q", "dim", "representatives", "rep_vecs", "image_vecs", "slice", "_span")
+    __slots__ = ("k", "n", "q", "dim", "rep_vecs", "image_vecs", "slice", "_span")
 
     def __init__(self, k, n, q, rep_vecs, image_vecs, slice_):
         self.k = k
@@ -82,8 +82,11 @@ class CohomologyBasis:
         self.image_vecs = image_vecs
         self.slice = slice_
         self.dim = len(rep_vecs)
-        self.representatives = tuple(slice_.cochain(v) for v in rep_vecs)
         self._span = None
+
+    @property
+    def representatives(self) -> tuple[Cochain, ...]:
+        return tuple(self.slice.cochain(v) for v in self.rep_vecs)
 
     def class_coords(self, vec: int) -> tuple[int, ...]:
         """Express a kernel vector modulo the image; unique by construction."""
@@ -104,13 +107,14 @@ def cohomology_basis(k: int, n: int, q: int) -> CohomologyBasis:
     if q < 1:
         raise ValueError("cohomology lives in lengths >= 1")
     sl = graded_slice(k, n, q)
-    image_vecs: list[int] = []
-    if q > 1:
-        span = Gf2Span()
-        image_vecs = [col for col in graded_slice(k, n, q - 1).delta.columns() if span.add(col)]
-    kernel = sl.delta.kernel_basis()
+    # the image of the incoming coboundary: the pivot columns of slice q-1,
+    # recorded when that slice was eliminated for its own kernel
+    image_vecs = graded_slice(k, n, q - 1).image_basis() if q > 1 else []
+    kernel = sl.kernel_basis()
     span = Gf2Span(image_vecs)
     rep_vecs = [v for v in kernel if span.add(v)]
+    # every kernel vector outside the image enlarges the span, so more
+    # representatives than this means part of the image lies outside the kernel
     expected = len(kernel) - len(image_vecs)
     if len(rep_vecs) != expected:
         raise ValueError(

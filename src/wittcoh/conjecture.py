@@ -72,10 +72,11 @@ def multiply(a: BigradedMonomial, b: BigradedMonomial) -> BigradedMonomial | Non
 
 
 @cached
-def _bidegree_words(q: int, n: int) -> tuple[BigradedMonomial, ...]:
-    """The square-free words of bidegree (q, n), sorted; memoized per bidegree."""
+def _bidegree_words(q: int, n: int) -> tuple[tuple[BigradedMonomial, ...], dict[BigradedMonomial, int]]:
+    """The square-free words of bidegree (q, n), sorted, and each word's
+    position; memoized per bidegree."""
     if q < 0 or n < 0:
-        return ()
+        return (), {}
     out = []
     for has_e in (False, True):
         qq, nn = q - has_e, n - has_e
@@ -94,12 +95,12 @@ def _bidegree_words(q: int, n: int) -> tuple[BigradedMonomial, ...]:
                     for ys in ys_list:
                         out.append(BigradedMonomial(bool(has_e), xs, ys))
     out.sort(key=lambda m: (m.has_e, m.xs, m.ys))
-    return tuple(out)
+    return tuple(out), {m: i for i, m in enumerate(out)}
 
 
 def monomials_in_bidegree(q: int, n: int) -> list[BigradedMonomial]:
     """The words of bidegree (q, n), as a list the caller may change."""
-    return list(_bidegree_words(q, n))
+    return list(_bidegree_words(q, n)[0])
 
 
 def relation_generators(n_cap: int) -> list[tuple[str, list[BigradedMonomial]]]:
@@ -124,17 +125,22 @@ def relation_generators(n_cap: int) -> list[tuple[str, list[BigradedMonomial]]]:
     return gens
 
 
+@cached
+def _relation_table(n_cap: int) -> tuple[tuple[int, int, tuple[BigradedMonomial, ...]], ...]:
+    """The ideal generators with degree at most n_cap as (q, n, terms);
+    memoized per cap."""
+    return tuple((*terms[0].bidegree, tuple(terms)) for _, terms in relation_generators(n_cap))
+
+
 def ideal_rank(q: int, n: int) -> int:
     """Rank of the ideal's intersection with one bidegree: the span of
     generator-times-monomial products landing there."""
-    ambient = _bidegree_words(q, n)
-    pos = {m: i for i, m in enumerate(ambient)}
+    _, pos = _bidegree_words(q, n)
     span = Gf2Span()
-    for _, terms in relation_generators(n):
-        gq, gn = terms[0].bidegree
-        if gq > q or gn > n:
+    for gq, gn, terms in _relation_table(n):
+        if gq > q:
             continue
-        for m in _bidegree_words(q - gq, n - gn):
+        for m in _bidegree_words(q - gq, n - gn)[0]:
             vec = 0
             for t in terms:
                 prod = multiply(t, m)

@@ -1,13 +1,17 @@
 """Exact linear algebra over the two-element field.
 
 Vectors are bit-packed Python ints, and a matrix is dense and bit-packed by
-rows: row i is an int whose bit j is the entry in column j.  Every
-elimination goes through one primitive, the tagged span ``Gf2Span``.  It
-keeps one reduced vector per leading bit, so inserting or reducing a vector
-costs one whole-int XOR per pivot it meets, never a bit test per row.  Next
-to each pivot it can keep a tag: the set of inputs XORed into it, as a
-bitmask over their positions.  A kernel, a solution or an inverse is then
-read off the tags of a single pass over the inputs.
+columns: column j is an int whose bit i is the entry in row i.  A coboundary
+is built column by column, one column per basis monomial, so the columns are
+stored as built; rows are produced only on request, by ``rows()`` and by
+``transpose()``, and the row constructor ``BitMatrix(nrows, ncols, rows)``
+packs its rows into columns once.  Every elimination goes through one
+primitive, the tagged span ``Gf2Span``.  It keeps one reduced vector per
+leading bit, so inserting or reducing a vector costs one whole-int XOR per
+pivot it meets, never a bit test per entry.  Next to each pivot it can keep a
+tag: the set of inputs XORed into it, as a bitmask over their positions.  A
+kernel, a solution or an inverse is then read off the tags of a single pass
+over the columns.
 """
 
 from __future__ import annotations
@@ -16,24 +20,32 @@ from typing import Iterable, Sequence
 
 
 class BitMatrix:
-    """Dense GF(2) matrix; immutable from the caller's point of view."""
+    """Dense GF(2) matrix stored by columns; immutable from the caller's point of view."""
 
-    __slots__ = ("nrows", "ncols", "_rows")
+    __slots__ = ("nrows", "ncols", "_cols")
 
     def __init__(self, nrows: int, ncols: int, rows: Sequence[int] | None = None):
+        """Build from packed rows: row i is an int whose bit j is entry (i, j)."""
         if nrows < 0 or ncols < 0:
             raise ValueError("matrix dimensions must be non-negative")
         if rows is None:
             rows = [0] * nrows
         if len(rows) != nrows:
             raise ValueError(f"expected {nrows} rows, got {len(rows)}")
-        mask = (1 << ncols) - 1
-        for r in rows:
-            if r & ~mask:
-                raise ValueError("row has bits outside the column range")
+        if any(r >> ncols for r in rows):
+            raise ValueError("row has bits outside the column range")
         self.nrows = nrows
         self.ncols = ncols
-        self._rows = list(rows)
+        self._cols = _transposed(rows, ncols)
+
+    @classmethod
+    def _of_columns(cls, nrows: int, cols: list[int]) -> "BitMatrix":
+        """Wrap a list of in-range columns without copying or checking it."""
+        m = cls.__new__(cls)
+        m.nrows = nrows
+        m.ncols = len(cols)
+        m._cols = cols
+        return m
 
     @classmethod
     def zeros(cls, nrows: int, ncols: int) -> "BitMatrix":
@@ -41,7 +53,7 @@ class BitMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, n, [1 << i for i in range(n)])
+        return cls._of_columns(n, [1 << i for i in range(n)])
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "BitMatrix":
@@ -56,29 +68,35 @@ class BitMatrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[int], nrows: int) -> "BitMatrix":
+        if nrows < 0:
+            raise ValueError("matrix dimensions must be non-negative")
         if any(col >> nrows for col in columns):
             raise ValueError("column has bits outside the row range")
-        return cls(nrows, len(columns), _transposed(columns, nrows))
+        return cls._of_columns(nrows, list(columns))
 
     def rows(self) -> list[int]:
-        return list(self._rows)
+        """Every row as a bitmask over the columns (a transpose)."""
+        return _transposed(self._cols, self.nrows)
 
     def column(self, j: int) -> int:
-        out = 0
-        for i, r in enumerate(self._rows):
-            out |= ((r >> j) & 1) << i
-        return out
+        if not 0 <= j < self.ncols:
+            raise IndexError(f"column {j} outside 0..{self.ncols - 1}")
+        return self._cols[j]
+
+    def columns(self) -> list[int]:
+        """Every column as a bitmask over the rows."""
+        return list(self._cols)
 
     def is_zero(self) -> bool:
-        return not any(self._rows)
+        return not any(self._cols)
 
     def transpose(self) -> "BitMatrix":
-        return BitMatrix(self.ncols, self.nrows, self.columns())
+        return BitMatrix._of_columns(self.ncols, self.rows())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitMatrix):
             return NotImplemented
-        return (self.nrows, self.ncols, self._rows) == (other.nrows, other.ncols, other._rows)
+        return (self.nrows, self.ncols, self._cols) == (other.nrows, other.ncols, other._cols)
 
     __hash__ = None  # mutable storage inside
 
@@ -86,34 +104,25 @@ class BitMatrix:
         return f"BitMatrix({self.nrows}x{self.ncols})"
 
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
+        """Column j of the product is self times column j of other."""
         if self.ncols != other.nrows:
             raise ValueError("inner dimensions do not match")
-        rows = []
-        for r in self._rows:
-            acc = 0
-            v = r
-            while v:
-                low = v & -v
-                acc ^= other._rows[low.bit_length() - 1]
-                v ^= low
-            rows.append(acc)
-        return BitMatrix(self.nrows, other.ncols, rows)
+        return BitMatrix._of_columns(self.nrows, [self.mul_vec(col) for col in other._cols])
 
     def mul_vec(self, v: int) -> int:
-        """Matrix times column vector; v is a bitmask over the columns."""
+        """Matrix times column vector: the XOR of the columns that v selects."""
         if v >> self.ncols:
             raise ValueError("vector has bits outside the column range")
+        cols = self._cols
         out = 0
-        for i, r in enumerate(self._rows):
-            out |= ((r & v).bit_count() & 1) << i
+        while v:
+            low = v & -v
+            out ^= cols[low.bit_length() - 1]
+            v ^= low
         return out
 
     def rank(self) -> int:
-        return Gf2Span(self._rows).rank
-
-    def columns(self) -> list[int]:
-        """Every column as a bitmask over the rows."""
-        return _transposed(self._rows, self.ncols)
+        return Gf2Span(self._cols).rank
 
     def kernel_basis(self) -> list[int]:
         """Basis of the right null space, one vector per free column.
@@ -121,11 +130,12 @@ class BitMatrix:
         One tagged pass over the columns in order: a column that reduces to
         zero against the earlier pivot columns yields its tag as a kernel
         vector.  That tag involves the free column itself and pivot columns
-        only, so it is the vector read off the reduced row echelon form.
+        only, so it is the vector read off the reduced row echelon form, and
+        its highest bit is its free column.
         """
         span = Gf2Span()
         basis = []
-        for j, col in enumerate(self.columns()):
+        for j, col in enumerate(self._cols):
             residue, tag = span.reduce_tagged(col, 1 << j)
             if residue:
                 span.add(residue, tag)
@@ -143,21 +153,21 @@ class BitMatrix:
         if target >> self.nrows:
             raise ValueError("target has bits outside the row range")
         span = Gf2Span()
-        for j, col in enumerate(self.columns()):
+        for j, col in enumerate(self._cols):
             span.add(col, 1 << j)
         residue, x = span.reduce_tagged(target)
         return None if residue else x
 
     def inverse(self) -> "BitMatrix":
-        """Row j of the inverse is the combination of rows that sums to e_j."""
+        """Column j of the inverse is the combination of columns that sums to e_j."""
         if self.nrows != self.ncols:
             raise ValueError("only square matrices can be inverted")
         span = Gf2Span()
-        for i, r in enumerate(self._rows):
-            if not span.add(r, 1 << i):
+        for j, col in enumerate(self._cols):
+            if not span.add(col, 1 << j):
                 raise ValueError("matrix is singular over GF(2)")
         n = self.nrows
-        return BitMatrix(n, n, [span.reduce_tagged(1 << j)[1] for j in range(n)])
+        return BitMatrix._of_columns(n, [span.reduce_tagged(1 << j)[1] for j in range(n)])
 
 
 def _transposed(vectors: Sequence[int], width: int) -> list[int]:

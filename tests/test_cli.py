@@ -1,9 +1,13 @@
 import csv
+import hashlib
 import io
 import json
 
+import pytest
+
 from wittcoh import cli
 from wittcoh import cochains
+from wittcoh.caching import clear_all
 
 
 def run(args):
@@ -142,3 +146,23 @@ def test_usage_errors_exit_2():
 def test_validation_rejects_bad_bounds():
     assert run(["dims", "--n-max", "-2"])[0] == 2
     assert run(["dims", "--n-max", "4", "--q-max", "0"])[0] == 2
+
+
+# The JSON stdout of a cold run, pinned by md5: any speedup must leave these
+# bytes unchanged.
+GOLDEN_JSON = [
+    (["dims", "--k", "1", "--n-max", "44"], "26a030287246f4c07d4228565676864a"),
+    (["basis", "--n-max", "30"], "0397b9547552bc2c80f5f9ce77174501"),
+    (["basis", "--k", "-1", "--n-max", "22"], "d64e6438e9f114d987c0048b0ac13242"),
+    (["basis", "--k", "2", "--n-max", "30"], "5b8796d92d7e9c9f96bcb2713c385e52"),
+    (["dims", "--k", "0", "--n-max", "30"], "251758ee36dcd59aea0b85fb60752354"),
+    (["poincare", "--n-max", "30"], "0ca879134a619873a17678f36ede7965"),
+]
+
+
+@pytest.mark.parametrize("args, md5", GOLDEN_JSON, ids=[" ".join(a) for a, _ in GOLDEN_JSON])
+def test_json_stdout_bytes_are_pinned(args, md5):
+    clear_all()
+    code, out, _ = run(args + ["--format", "json"])
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == md5

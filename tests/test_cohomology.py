@@ -3,7 +3,16 @@ import random
 import pytest
 
 from conftest import P
-from wittcoh.cochains import Cochain, coboundary, generator, max_length, wedge
+from wittcoh.caching import clear_all
+from wittcoh.cochains import (
+    Cochain,
+    coboundary,
+    corrupted_generator,
+    generator,
+    graded_slice,
+    max_length,
+    wedge,
+)
 from wittcoh.cohomology import (
     NotACocycleError,
     central_extension_basis,
@@ -22,6 +31,7 @@ from wittcoh.cohomology import (
     predicted_low_index_dim,
     representative,
 )
+from wittcoh.gf2 import Gf2Span
 from wittcoh.monomials import x_cocycle, y_cocycle, z_cocycle
 from wittcoh.partitions import max_regular_length, regular_partitions
 
@@ -77,6 +87,49 @@ def test_representatives_are_cocycles_independent_mod_image():
             for rep in basis.representatives:
                 assert not coboundary(rep, 1)
                 assert not class_of(rep, 1).is_zero
+
+
+def two_pass_reference(k, n, q):
+    """Image and representatives by a second, independent elimination: the
+    columns of slice q-1 that enlarge a fresh span, then the kernel vectors of
+    slice q taken greedily modulo that span."""
+    image = []
+    if q > 1:
+        span = Gf2Span()
+        image = [col for col in graded_slice(k, n, q - 1).delta.columns() if span.add(col)]
+    span = Gf2Span(image)
+    reps = [v for v in graded_slice(k, n, q).delta.kernel_basis() if span.add(v)]
+    return image, reps
+
+
+@pytest.mark.parametrize("ascending", [True, False], ids=["q-ascending", "q-descending"])
+def test_single_pass_matches_two_pass_reference(ascending):
+    # descending q eliminates each slice q-1 for its image before its own kernel
+    clear_all()
+    for k in (-1, 0, 1, 2):
+        for n in range(k, 31):
+            lengths = range(1, max_length(k, n) + 1)
+            for q in lengths if ascending else reversed(lengths):
+                basis = cohomology_basis(k, n, q)
+                assert (basis.image_vecs, basis.rep_vecs) == two_pass_reference(k, n, q), (k, n, q)
+
+
+def test_image_in_kernel_check_catches_corruption():
+    clean = cohomology_dim(1, 9, 2)
+    cohomology_dim(1, 9, 3)  # the clean slices now carry their pivot masks
+    with corrupted_generator(9):
+        with pytest.raises(ValueError, match="image not contained in kernel"):
+            cohomology_dim(1, 9, 2)
+        failing = []
+        for n in range(1, 25):
+            for q in range(1, max_length(1, n) + 1):
+                try:
+                    cohomology_dim(1, n, q)
+                except ValueError as exc:
+                    assert "image not contained in kernel" in str(exc)
+                    failing.append((n, q))
+        assert len(failing) == 34 and failing[0] == (9, 2)
+    assert cohomology_dim(1, 9, 2) == clean
 
 
 # --- classes and products ----------------------------------------------------------

@@ -105,6 +105,73 @@ def invertible_matrices(draw, max_side=12):
     return BitMatrix(n, n, lower) @ BitMatrix(n, n, upper)
 
 
+# Row-major reference for the column-stored BitMatrix: a matrix is its list
+# of packed rows, row i an int whose bit j is entry (i, j).
+
+
+def ref_column(rows, j):
+    return sum(((r >> j) & 1) << i for i, r in enumerate(rows))
+
+
+def ref_mul_vec(rows, v):
+    return sum(((r & v).bit_count() & 1) << i for i, r in enumerate(rows))
+
+
+def ref_transpose(rows, ncols):
+    return [ref_column(rows, j) for j in range(ncols)]
+
+
+def ref_matmul(a_rows, b_rows):
+    out = []
+    for r in a_rows:
+        acc = 0
+        for j in range(len(b_rows)):
+            if (r >> j) & 1:
+                acc ^= b_rows[j]
+        out.append(acc)
+    return out
+
+
+@st.composite
+def row_lists(draw, nrows=None, ncols=None):
+    """(nrows, ncols, rows) up to 12x12, with whole rows and columns zeroed
+    often enough that empty ones are common."""
+    if nrows is None:
+        nrows = draw(st.integers(0, 12))
+    if ncols is None:
+        ncols = draw(st.integers(0, 12))
+    rows = draw(st.lists(st.integers(0, (1 << ncols) - 1), min_size=nrows, max_size=nrows))
+    empty_rows = draw(st.integers(0, (1 << nrows) - 1))
+    keep_cols = draw(st.integers(0, (1 << ncols) - 1))
+    rows = [0 if (empty_rows >> i) & 1 else r & keep_cols for i, r in enumerate(rows)]
+    return nrows, ncols, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(row_lists(), st.data())
+def test_column_storage_matches_row_major_reference(shape, data):
+    nrows, ncols, rows = shape
+    m = BitMatrix(nrows, ncols, rows)
+    assert m.rows() == rows
+    assert [m.column(j) for j in range(ncols)] == ref_transpose(rows, ncols)
+    assert m.columns() == ref_transpose(rows, ncols)
+    assert BitMatrix.from_columns(m.columns(), nrows) == m
+    assert m.is_zero() == (not any(rows))
+    t = m.transpose()
+    assert (t.nrows, t.ncols) == (ncols, nrows)
+    assert t.rows() == ref_transpose(rows, ncols)
+    assert t.transpose() == m
+    v = data.draw(st.integers(0, (1 << ncols) - 1))
+    assert m.mul_vec(v) == ref_mul_vec(rows, v)
+    _, other_ncols, other_rows = data.draw(row_lists(nrows=ncols))
+    prod = m @ BitMatrix(ncols, other_ncols, other_rows)
+    assert (prod.nrows, prod.ncols) == (nrows, other_ncols)
+    assert prod.rows() == ref_matmul(rows, other_rows)
+    if nrows:
+        nested = [[(r >> j) & 1 for j in range(ncols)] for r in rows]
+        assert BitMatrix.from_rows(nested) == m
+
+
 @settings(max_examples=300, deadline=None)
 @given(matrices())
 def test_kernel_matches_rref_oracle(m):
