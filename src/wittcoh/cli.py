@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 
 from .cochains import graded_slice, max_length
 from .cohomology import (
@@ -25,16 +24,6 @@ from .cohomology import (
 )
 from .conjecture import scan
 from .verify import run_suites
-
-
-@dataclass
-class RunConfig:
-    command: str
-    k: int
-    n_max: int | None
-    q_max: int | None
-    fmt: str
-    seed: int
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,39 +57,41 @@ def _build_parser() -> argparse.ArgumentParser:
 _FIXED_K = {"conjecture": 1, "extensions": -1}
 
 
-def _validate(cfg: RunConfig) -> str | None:
-    if cfg.k < -1:
+def _validate(args: argparse.Namespace) -> str | None:
+    if args.k < -1:
         return "--k must be >= -1"
-    if cfg.k != _FIXED_K.get(cfg.command, cfg.k):
-        return f"{cfg.command} needs --k {_FIXED_K[cfg.command]}"
-    if cfg.n_max is not None and cfg.n_max < 0:
+    if args.k != _FIXED_K.get(args.command, args.k):
+        return f"{args.command} needs --k {_FIXED_K[args.command]}"
+    if args.n_max is not None and args.n_max < 0:
         return "--n-max must be >= 0"
-    if cfg.q_max is not None and cfg.q_max < 1:
+    if args.q_max is not None and args.q_max < 1:
         return "--q-max must be >= 1"
     return None
 
 
-def _degree_range(cfg: RunConfig) -> range:
-    lo = cfg.k if cfg.k < 0 else 0
-    return range(lo, (cfg.n_max if cfg.n_max is not None else 20) + 1)
+def _degree_range(args: argparse.Namespace) -> range:
+    lo = args.k if args.k < 0 else 0
+    return range(lo, (args.n_max if args.n_max is not None else 20) + 1)
 
 
-def _cells(cfg: RunConfig) -> list[tuple[int, int]]:
+def _cells(args: argparse.Namespace) -> list[tuple[int, int]]:
     out = []
-    for n in _degree_range(cfg):
-        top = max_length(cfg.k, n)
-        if cfg.q_max is not None:
-            top = min(top, cfg.q_max)
+    for n in _degree_range(args):
+        top = max_length(args.k, n)
+        if args.q_max is not None:
+            top = min(top, args.q_max)
         for q in range(1, top + 1):
-            if graded_slice(cfg.k, n, q).dim:
+            if graded_slice(args.k, n, q).dim:
                 out.append((n, q))
     return out
 
 
-def _emit_rows(cfg: RunConfig, stdout, header: list[str], rows: list[list], json_payload) -> None:
-    if cfg.fmt == "json":
+def _emit_rows(
+    args: argparse.Namespace, stdout, header: list[str], rows: list[list], json_payload
+) -> None:
+    if args.format == "json":
         print(json.dumps(json_payload), file=stdout)
-    elif cfg.fmt == "csv":
+    elif args.format == "csv":
         writer = csv.writer(stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -114,23 +105,23 @@ def _emit_rows(cfg: RunConfig, stdout, header: list[str], rows: list[list], json
             print("  ".join(str(v).rjust(w) for v, w in zip(r, widths)), file=stdout)
 
 
-def cmd_dims(cfg: RunConfig, stdout, stderr) -> int:
-    cells = _cells(cfg)
-    rows = [[n, q, cohomology_dim(cfg.k, n, q)] for n, q in cells]
-    payload = {"k": cfg.k, "cells": [{"n": n, "q": q, "dim": d} for n, q, d in rows]}
-    _emit_rows(cfg, stdout, ["n", "q", "dim"], rows, payload)
+def cmd_dims(args: argparse.Namespace, stdout, stderr) -> int:
+    cells = _cells(args)
+    rows = [[n, q, cohomology_dim(args.k, n, q)] for n, q in cells]
+    payload = {"k": args.k, "cells": [{"n": n, "q": q, "dim": d} for n, q, d in rows]}
+    _emit_rows(args, stdout, ["n", "q", "dim"], rows, payload)
     return 0
 
 
-def cmd_poincare(cfg: RunConfig, stdout, stderr) -> int:
-    degrees = [n for n in _degree_range(cfg)]
-    computed = [poincare_computed(n, cfg.k) for n in degrees]
-    predicted = [poincare_predicted(n, cfg.k) if cfg.k >= 1 else None for n in degrees]
+def cmd_poincare(args: argparse.Namespace, stdout, stderr) -> int:
+    degrees = [n for n in _degree_range(args)]
+    computed = [poincare_computed(n, args.k) for n in degrees]
+    predicted = [poincare_predicted(n, args.k) if args.k >= 1 else None for n in degrees]
     rows = []
     for n, comp, pred in zip(degrees, computed, predicted):
         rows.append([n, poly_str(comp), poly_str(pred) if pred is not None else "-"])
     payload = {
-        "k": cfg.k,
+        "k": args.k,
         "rows": [
             {
                 "n": n,
@@ -140,16 +131,16 @@ def cmd_poincare(cfg: RunConfig, stdout, stderr) -> int:
             for n, comp, pred in zip(degrees, computed, predicted)
         ],
     }
-    _emit_rows(cfg, stdout, ["n", "computed", "predicted"], rows, payload)
+    _emit_rows(args, stdout, ["n", "computed", "predicted"], rows, payload)
     return 0
 
 
-def cmd_basis(cfg: RunConfig, stdout, stderr) -> int:
-    cells = _cells(cfg)
+def cmd_basis(args: argparse.Namespace, stdout, stderr) -> int:
+    cells = _cells(args)
     rows = []
     entries = []
     for n, q in cells:
-        basis = cohomology_basis(cfg.k, n, q)
+        basis = cohomology_basis(args.k, n, q)
         if basis.dim == 0:
             continue
         representatives = basis.representatives
@@ -157,13 +148,13 @@ def cmd_basis(cfg: RunConfig, stdout, stderr) -> int:
         entries.append({"n": n, "q": q, "dim": basis.dim, "representatives": reps})
         pretty = "; ".join(str(rep) for rep in representatives)
         rows.append([n, q, basis.dim, pretty])
-    payload = {"k": cfg.k, "cells": entries}
-    _emit_rows(cfg, stdout, ["n", "q", "dim", "representatives"], rows, payload)
+    payload = {"k": args.k, "cells": entries}
+    _emit_rows(args, stdout, ["n", "q", "dim", "representatives"], rows, payload)
     return 0
 
 
-def cmd_verify(cfg: RunConfig, stdout, stderr) -> int:
-    results = run_suites(n_max=cfg.n_max, k_bound=max(cfg.k, 1), seed=cfg.seed)
+def cmd_verify(args: argparse.Namespace, stdout, stderr) -> int:
+    results = run_suites(n_max=args.n_max, k_bound=max(args.k, 1), seed=args.seed)
     for res in results:
         print(res.summary(), file=stdout)
         for line in res.failures[:10]:
@@ -173,8 +164,8 @@ def cmd_verify(cfg: RunConfig, stdout, stderr) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-def cmd_conjecture(cfg: RunConfig, stdout, stderr) -> int:
-    n_max = cfg.n_max if cfg.n_max is not None else 24
+def cmd_conjecture(args: argparse.Namespace, stdout, stderr) -> int:
+    n_max = args.n_max if args.n_max is not None else 24
     report = scan(n_max)
     findings = report.findings()
     rows = [
@@ -188,8 +179,8 @@ def cmd_conjecture(cfg: RunConfig, stdout, stderr) -> int:
         "findings": findings,
         "consistent": report.hilbert_ok and report.counting_ok,
     }
-    _emit_rows(cfg, stdout, ["reduction", "cells", "mismatches"], rows, payload)
-    if cfg.fmt != "json":
+    _emit_rows(args, stdout, ["reduction", "cells", "mismatches"], rows, payload)
+    if args.format != "json":
         for line in findings:
             print(line, file=stdout)
         if report.hilbert_ok and report.counting_ok:
@@ -202,8 +193,8 @@ def cmd_conjecture(cfg: RunConfig, stdout, stderr) -> int:
     return 0
 
 
-def cmd_extensions(cfg: RunConfig, stdout, stderr) -> int:
-    n_max = cfg.n_max if cfg.n_max is not None else 20
+def cmd_extensions(args: argparse.Namespace, stdout, stderr) -> int:
+    n_max = args.n_max if args.n_max is not None else 20
     entries = []
     rows = []
     for n in range(2, n_max + 1, 2):
@@ -212,7 +203,7 @@ def cmd_extensions(cfg: RunConfig, stdout, stderr) -> int:
             entries.append({"n": n, "label": label, "support": support})
             rows.append([n, label, " ".join(f"[{a},{b}]" for a, b in support)])
     payload = {"cocycles": entries}
-    _emit_rows(cfg, stdout, ["n", "label", "support"], rows, payload)
+    _emit_rows(args, stdout, ["n", "label", "support"], rows, payload)
     return 0
 
 
@@ -234,19 +225,11 @@ def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    cfg = RunConfig(
-        command=args.command,
-        k=args.k,
-        n_max=args.n_max,
-        q_max=args.q_max,
-        fmt=args.format,
-        seed=args.seed,
-    )
-    problem = _validate(cfg)
+    problem = _validate(args)
     if problem is not None:
         print(f"error: {problem}", file=stderr)
         return 2
-    return _COMMANDS[cfg.command](cfg, stdout, stderr)
+    return _COMMANDS[args.command](args, stdout, stderr)
 
 
 if __name__ == "__main__":

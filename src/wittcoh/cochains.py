@@ -103,9 +103,6 @@ class Cochain:
     def __add__(self, other: "Cochain") -> "Cochain":
         return Cochain(self.terms ^ other.terms)
 
-    def __mul__(self, other: "Cochain") -> "Cochain":
-        return wedge(self, other)
-
     def is_homogeneous(self) -> bool:
         return len({(len(t), sum(t)) for t in self.terms}) <= 1
 
@@ -122,9 +119,6 @@ class Cochain:
     @property
     def degree(self) -> int:
         return self._grading()[1]
-
-    def min_index(self) -> int:
-        return min(min(t) for t in self.terms if t)
 
     def __str__(self) -> str:
         if not self.terms:

@@ -70,19 +70,23 @@ class CohomologyClass:
 
 
 class CohomologyBasis:
-    """Representatives of one block's cohomology plus solving data."""
+    """Representatives of one block's cohomology plus solving data.
 
-    __slots__ = ("k", "n", "q", "dim", "rep_vecs", "image_vecs", "slice", "_span")
+    ``span`` holds the image untagged and each representative tagged with
+    its own bit, so reducing a kernel vector in it yields its class.
+    """
 
-    def __init__(self, k, n, q, rep_vecs, image_vecs, slice_):
+    __slots__ = ("k", "n", "q", "dim", "rep_vecs", "image_vecs", "slice", "span")
+
+    def __init__(self, k, n, q, rep_vecs, image_vecs, slice_, span):
         self.k = k
         self.n = n
         self.q = q
         self.rep_vecs = rep_vecs
         self.image_vecs = image_vecs
         self.slice = slice_
+        self.span = span
         self.dim = len(rep_vecs)
-        self._span = None
 
     @property
     def representatives(self) -> tuple[Cochain, ...]:
@@ -90,13 +94,7 @@ class CohomologyBasis:
 
     def class_coords(self, vec: int) -> tuple[int, ...]:
         """Express a kernel vector modulo the image; unique by construction."""
-        if self._span is None:
-            # representatives and image together are independent: tag each
-            # with its own bit, representatives first
-            self._span = Gf2Span()
-            for j, v in enumerate(self.rep_vecs + self.image_vecs):
-                self._span.add(v, 1 << j)
-        residue, x = self._span.reduce_tagged(vec)
+        residue, x = self.span.reduce_tagged(vec)
         if residue:
             raise NotACocycleError("vector is closed but outside kernel span — corrupted complex")
         return tuple((x >> j) & 1 for j in range(self.dim))
@@ -112,7 +110,10 @@ def cohomology_basis(k: int, n: int, q: int) -> CohomologyBasis:
     image_vecs = graded_slice(k, n, q - 1).image_basis() if q > 1 else []
     kernel = sl.kernel_basis()
     span = Gf2Span(image_vecs)
-    rep_vecs = [v for v in kernel if span.add(v)]
+    rep_vecs = []
+    for v in kernel:
+        if span.add(v, 1 << len(rep_vecs)):
+            rep_vecs.append(v)
     # every kernel vector outside the image enlarges the span, so more
     # representatives than this means part of the image lies outside the kernel
     expected = len(kernel) - len(image_vecs)
@@ -120,7 +121,7 @@ def cohomology_basis(k: int, n: int, q: int) -> CohomologyBasis:
         raise ValueError(
             f"image not contained in kernel at (k={k}, n={n}, q={q}) — the complex is corrupted"
         )
-    return CohomologyBasis(k, n, q, rep_vecs, image_vecs, sl)
+    return CohomologyBasis(k, n, q, rep_vecs, image_vecs, sl, span)
 
 
 def cohomology_dim(k: int, n: int, q: int) -> int:

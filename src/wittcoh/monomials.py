@@ -22,6 +22,7 @@ component of odd length — nothing else survives.
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Callable
 
 from .caching import cached
 from .cochains import Cochain, coboundary, generator, graded_slice, wedge
@@ -56,55 +57,60 @@ def marked_wedge(mp: MarkedPartition) -> Cochain | None:
     return out
 
 
-class _RegularBasis:
+class WedgeBasis:
+    """One basis of the (n, q) block at minimal index 1, indexed by the regular
+    marked partitions: the wedges are the columns of a square invertible matrix
+    in monomial coordinates.
+
+    ``wedge_of`` maps a regular marked partition to its basis cochain.  Both
+    load-bearing facts are checked while building: the matrix is square (the
+    count of regular marked partitions equals the count of strict partitions)
+    and no wedge collapses to zero; ``inverse`` raises if it is singular.
+    """
+
     __slots__ = ("n", "q", "shapes", "matrix", "inverse", "slice")
 
-    def __init__(self, n, q, shapes, matrix, inverse, slice_):
+    def __init__(self, n: int, q: int, wedge_of: Callable[[MarkedPartition], Cochain | None]):
+        sl = graded_slice(1, n, q)
+        shapes = tuple(marked_regular_partitions(n, q, 1))
+        if len(shapes) != sl.dim:
+            raise ValueError(
+                f"regular marked count {len(shapes)} != monomial dimension {sl.dim}"
+                f" at (n={n}, q={q})"
+            )
+        cols = []
+        for mp in shapes:
+            value = wedge_of(mp)
+            if not value:
+                raise ValueError(f"wedge of {mp} collapsed to zero")
+            cols.append(sl.coords(value))
         self.n = n
         self.q = q
         self.shapes = shapes
-        self.matrix = matrix
-        self.inverse = inverse
-        self.slice = slice_
+        self.matrix = BitMatrix.from_columns(cols, sl.dim)
+        self.inverse = self.matrix.inverse()
+        self.slice = sl
+
+    def decompose(self, c: Cochain) -> dict[MarkedPartition, int]:
+        """The shapes whose wedges sum to c, a cochain of this block."""
+        x = self.inverse.mul_vec(self.slice.coords(c))
+        out = {}
+        while x:
+            low = x & -x
+            out[self.shapes[low.bit_length() - 1]] = 1
+            x ^= low
+        return out
 
 
 @cached
-def regular_basis(n: int, q: int) -> _RegularBasis:
-    """Marked wedges of all regular marked partitions of (n, q), as a matrix.
-
-    Columns are the expanded wedges in monomial coordinates.  The matrix is
-    square (the count of regular marked partitions equals the count of strict
-    partitions) and invertible; both facts are load-bearing and re-checked by
-    the verification suite.
-    """
-    sl = graded_slice(1, n, q)
-    shapes = tuple(marked_regular_partitions(n, q, 1))
-    if len(shapes) != sl.dim:
-        raise ValueError(
-            f"regular marked count {len(shapes)} != monomial dimension {sl.dim} at (n={n}, q={q})"
-        )
-    cols = []
-    for mp in shapes:
-        value = marked_wedge(mp)
-        if value is None:
-            raise ValueError(f"regular marked wedge {mp} collapsed to zero")
-        cols.append(sl.coords(value))
-    matrix = BitMatrix.from_columns(cols, sl.dim)
-    return _RegularBasis(n, q, shapes, matrix, matrix.inverse(), sl)
+def regular_basis(n: int, q: int) -> WedgeBasis:
+    """Marked wedges of all regular marked partitions of (n, q)."""
+    return WedgeBasis(n, q, marked_wedge)
 
 
 def decompose(c: Cochain) -> dict[MarkedPartition, int]:
     """Coordinates of a homogeneous cochain in the regular marked-wedge basis."""
-    if not c:
-        return {}
-    rb = regular_basis(c.degree, c.length)
-    x = rb.inverse.mul_vec(rb.slice.coords(c))
-    out = {}
-    while x:
-        low = x & -x
-        out[rb.shapes[low.bit_length() - 1]] = 1
-        x ^= low
-    return out
+    return regular_basis(c.degree, c.length).decompose(c) if c else {}
 
 
 def pair_cocycle(a: int, marked: bool = False) -> Cochain:
@@ -174,40 +180,15 @@ def predicted_coboundary(mp: MarkedPartition) -> Cochain:
     return out
 
 
-class _CorrectedBasis:
-    __slots__ = ("n", "q", "shapes", "matrix", "inverse", "slice")
-
-    def __init__(self, n, q, shapes, matrix, inverse, slice_):
-        self.n = n
-        self.q = q
-        self.shapes = shapes
-        self.matrix = matrix
-        self.inverse = inverse
-        self.slice = slice_
-
-
 @cached
-def corrected_basis(n: int, q: int) -> _CorrectedBasis:
+def corrected_basis(n: int, q: int) -> WedgeBasis:
     """Corrected wedges of all regular marked partitions of (n, q)."""
-    sl = graded_slice(1, n, q)
-    shapes = tuple(marked_regular_partitions(n, q, 1))
-    cols = [sl.coords(corrected_wedge(mp)) for mp in shapes]
-    matrix = BitMatrix.from_columns(cols, sl.dim)
-    return _CorrectedBasis(n, q, shapes, matrix, matrix.inverse(), sl)
+    return WedgeBasis(n, q, corrected_wedge)
 
 
 def decompose_corrected(c: Cochain) -> dict[MarkedPartition, int]:
     """Coordinates of a homogeneous cochain in the corrected-wedge basis."""
-    if not c:
-        return {}
-    cb = corrected_basis(c.degree, c.length)
-    x = cb.inverse.mul_vec(cb.slice.coords(c))
-    out = {}
-    while x:
-        low = x & -x
-        out[cb.shapes[low.bit_length() - 1]] = 1
-        x ^= low
-    return out
+    return corrected_basis(c.degree, c.length).decompose(c) if c else {}
 
 
 # ---------------------------------------------------------------------------

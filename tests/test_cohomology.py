@@ -135,6 +135,27 @@ def test_image_in_kernel_check_catches_corruption():
 # --- classes and products ----------------------------------------------------------
 
 
+def test_class_of_reads_the_tagged_span():
+    # representative j plus any coboundary has class e_j, and classes add
+    rng = random.Random(5)
+    for k in (-1, 0, 1, 2):
+        for n in range(k, 23):
+            for q in range(1, max_length(k, n) + 1):
+                basis = cohomology_basis(k, n, q)
+                unit = [tuple(int(i == j) for i in range(basis.dim)) for j in range(basis.dim)]
+                for j, rep in enumerate(basis.rep_vecs):
+                    vec = rep
+                    for col in basis.image_vecs:
+                        if rng.random() < 0.5:
+                            vec ^= col
+                    assert class_of(basis.slice.cochain(vec), k).coords == unit[j], (k, n, q, j)
+                for i in range(basis.dim):
+                    for j in range(i + 1, basis.dim):
+                        vec = basis.rep_vecs[i] ^ basis.rep_vecs[j]
+                        want = tuple(a ^ b for a, b in zip(unit[i], unit[j]))
+                        assert class_of(basis.slice.cochain(vec), k).coords == want, (k, n, q, i, j)
+
+
 def test_class_of_coboundary_is_zero():
     assert class_of(coboundary(generator(5), 1), 1).is_zero
     assert class_of(c((1, 2)), 1).is_zero  # equals the coboundary of e3

@@ -5,6 +5,7 @@ import pytest
 from conftest import M, P
 from wittcoh.cochains import Cochain, coboundary, generator, max_length, wedge
 from wittcoh.monomials import (
+    corrected_basis,
     corrected_wedge,
     decompose,
     decompose_corrected,
@@ -49,13 +50,11 @@ def test_marked_wedge_collapses():
 
 
 def test_regular_basis_shapes():
-    rb = regular_basis(5, 2)
-    assert rb.matrix.nrows == rb.matrix.ncols == 2
-    rb = regular_basis(4, 2)
-    assert rb.matrix.nrows == rb.matrix.ncols == 1
-    rb = regular_basis(12, 3)
-    assert rb.matrix.nrows == rb.matrix.ncols == 7
-    assert rb.matrix @ rb.inverse == type(rb.matrix).identity(7)
+    for build in (regular_basis, corrected_basis):
+        for n, q, size in ((5, 2, 2), (4, 2, 1), (12, 3, 7)):
+            rb = build(n, q)
+            assert rb.matrix.nrows == rb.matrix.ncols == size
+            assert rb.matrix @ rb.inverse == type(rb.matrix).identity(size)
 
 
 def test_decompose_gap_one_pair():
