@@ -13,6 +13,7 @@ import csv
 import json
 import sys
 
+from .caching import clear_all
 from .cochains import graded_slice, max_length
 from .cohomology import (
     central_extension_basis,
@@ -74,16 +75,12 @@ def _degree_range(args: argparse.Namespace) -> range:
     return range(lo, (args.n_max if args.n_max is not None else 20) + 1)
 
 
-def _cells(args: argparse.Namespace) -> list[tuple[int, int]]:
-    out = []
-    for n in _degree_range(args):
-        top = max_length(args.k, n)
-        if args.q_max is not None:
-            top = min(top, args.q_max)
-        for q in range(1, top + 1):
-            if graded_slice(args.k, n, q).dim:
-                out.append((n, q))
-    return out
+def _lengths(args: argparse.Namespace, n: int) -> list[int]:
+    """The lengths of degree n with a nonempty slice, up to --q-max."""
+    top = max_length(args.k, n)
+    if args.q_max is not None:
+        top = min(top, args.q_max)
+    return [q for q in range(1, top + 1) if graded_slice(args.k, n, q).dim]
 
 
 def _emit_rows(
@@ -106,8 +103,10 @@ def _emit_rows(
 
 
 def cmd_dims(args: argparse.Namespace, stdout, stderr) -> int:
-    cells = _cells(args)
-    rows = [[n, q, cohomology_dim(args.k, n, q)] for n, q in cells]
+    rows = []
+    for n in _degree_range(args):
+        rows += [[n, q, cohomology_dim(args.k, n, q)] for q in _lengths(args, n)]
+        clear_all()  # no later degree reads this one's slices
     payload = {"k": args.k, "cells": [{"n": n, "q": q, "dim": d} for n, q, d in rows]}
     _emit_rows(args, stdout, ["n", "q", "dim"], rows, payload)
     return 0
@@ -115,7 +114,10 @@ def cmd_dims(args: argparse.Namespace, stdout, stderr) -> int:
 
 def cmd_poincare(args: argparse.Namespace, stdout, stderr) -> int:
     degrees = [n for n in _degree_range(args)]
-    computed = [poincare_computed(n, args.k) for n in degrees]
+    computed = []
+    for n in degrees:
+        computed.append(poincare_computed(n, args.k))
+        clear_all()  # no later degree reads this one's slices
     predicted = [poincare_predicted(n, args.k) if args.k >= 1 else None for n in degrees]
     rows = []
     for n, comp, pred in zip(degrees, computed, predicted):
@@ -136,10 +138,9 @@ def cmd_poincare(args: argparse.Namespace, stdout, stderr) -> int:
 
 
 def cmd_basis(args: argparse.Namespace, stdout, stderr) -> int:
-    cells = _cells(args)
     rows = []
     entries = []
-    for n, q in cells:
+    for n, q in ((n, q) for n in _degree_range(args) for q in _lengths(args, n)):
         basis = cohomology_basis(args.k, n, q)
         if basis.dim == 0:
             continue

@@ -224,37 +224,52 @@ def pairing(a: Cochain, b: Cochain) -> int:
     return len(a.terms & b.terms) & 1
 
 
+def _index_mask(mono: Monomial, k: int) -> int:
+    """The set of indices of a monomial as a bitmask, with bit i - k for index i."""
+    m = 0
+    for i in mono:
+        m |= 1 << (i - k)
+    return m
+
+
 class GradedSlice:
     """Monomial basis of one (degree, length) block and its coboundary matrix.
 
     ``delta`` has one column per basis monomial of this block and one row per
     basis monomial of the (q+1)-block of the same degree.  The first
     elimination of ``delta`` records its pivot columns as one bitmask, so the
-    image of ``delta`` is read off without eliminating again.
+    rank and the image of ``delta`` are read off without eliminating again.
+    The position of each monomial, which ``coords`` reads, is indexed on the
+    first call only: ``dims`` never reads it.
     """
 
     __slots__ = ("k", "n", "q", "basis", "delta", "_pos", "_pivots")
 
-    def __init__(
-        self,
-        k: int,
-        n: int,
-        q: int,
-        basis: tuple[Monomial, ...],
-        delta: BitMatrix,
-        pos: dict[Monomial, int] | None = None,
-    ):
+    def __init__(self, k: int, n: int, q: int, basis: tuple[Monomial, ...], delta: BitMatrix):
         self.k = k
         self.n = n
         self.q = q
         self.basis = basis
         self.delta = delta
-        self._pos = {m: i for i, m in enumerate(basis)} if pos is None else pos
+        self._pos: dict[Monomial, int] | None = None
         self._pivots: int | None = None
 
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    @property
+    def pivots(self) -> int:
+        """The pivot columns of ``delta`` as a bitmask: the columns that are
+        independent of the ones before them.  Eliminates ``delta`` in one
+        untagged pass only if it never was; every other column is free."""
+        if self._pivots is None:
+            self._pivots = self.delta.pivot_mask()
+        return self._pivots
+
+    @property
+    def rank(self) -> int:
+        return self.pivots.bit_count()
 
     def kernel_basis(self) -> list[int]:
         """The kernel of ``delta``, one vector per free column (see
@@ -271,14 +286,11 @@ class GradedSlice:
         return kernel
 
     def image_basis(self) -> list[int]:
-        """The pivot columns of ``delta``, in column order: the columns that
-        are independent of the ones before them, a basis of the image in the
-        (q+1)-block.  Eliminates ``delta`` only if it never was."""
-        if self._pivots is None:
-            self.kernel_basis()
+        """The pivot columns of ``delta``, in column order: a basis of the
+        image in the (q+1)-block."""
         cols = self.delta.columns()
         out = []
-        v = self._pivots
+        v = self.pivots
         while v:
             low = v & -v
             out.append(cols[low.bit_length() - 1])
@@ -286,6 +298,8 @@ class GradedSlice:
         return out
 
     def coords(self, c: Cochain) -> int:
+        if self._pos is None:
+            self._pos = {m: i for i, m in enumerate(self.basis)}
         v = 0
         for mono in c.terms:
             pos = self._pos.get(mono)
@@ -307,15 +321,21 @@ class GradedSlice:
 
 
 @cached
-def _monomials(k: int, n: int, q: int) -> tuple[tuple[Monomial, ...], dict[Monomial, int]]:
-    """The (n, q) monomial basis and each monomial's position in it: the
-    basis of slice q and the target of slice q-1."""
+def _monomials(k: int, n: int, q: int) -> tuple[tuple[Monomial, ...], dict[int, int]]:
+    """The (n, q) monomial basis and the position of each monomial's index
+    mask in it: the basis of slice q and the target of slice q-1."""
     basis = tuple(strict_index_tuples(n, q, k))
-    return basis, {m: i for i, m in enumerate(basis)}
+    return basis, {_index_mask(m, k): i for i, m in enumerate(basis)}
 
 
 @cached
 def graded_slice(k: int, n: int, q: int) -> GradedSlice:
+    """Column j of ``delta`` is the coboundary of basis monomial j.
+
+    Works on index masks: the coboundary replaces an odd index i by each
+    pair a + b = i of ``_generator_pairs`` that the rest of the monomial
+    misses, and each such term's position is looked up by its mask.
+    """
     if k < -1:
         raise ValueError("minimal index must be >= -1")
     if q < 1:
@@ -323,14 +343,24 @@ def graded_slice(k: int, n: int, q: int) -> GradedSlice:
     basis, pos = _monomials(k, n, q)
     target, tpos = _monomials(k, n, q + 1)
     top = max((mono[-1] for mono in basis), default=k)
-    pairs = {i: _generator_pairs(i, k) for i in range(k, top + 1)}
+    # odd index i -> (its bit, the mask of each pair that replaces it)
+    expand = {}
+    for i in range(k, top + 1):
+        pairs = _generator_pairs(i, k)
+        if pairs:
+            expand[i] = (1 << (i - k), [(1 << (a - k)) | (1 << (b - k)) for a, b in pairs])
     cols = []
-    for mono in basis:
+    for mono, mask in zip(basis, pos):  # pos holds the masks in basis order
         col = 0
-        for term in _coboundary_terms(mono, pairs):
-            col ^= 1 << tpos[term]
+        for i in mono:
+            e = expand.get(i)
+            if e is not None:
+                rest = mask ^ e[0]
+                for ab in e[1]:
+                    if not rest & ab:
+                        col ^= 1 << tpos[rest | ab]
         cols.append(col)
-    return GradedSlice(k, n, q, basis, BitMatrix.from_columns(cols, len(target)), pos)
+    return GradedSlice(k, n, q, basis, BitMatrix.from_columns(cols, len(target)))
 
 
 def max_length(k: int, n: int) -> int:

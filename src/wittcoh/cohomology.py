@@ -1,7 +1,8 @@
 """Brute-force cohomology of the graded blocks, with the structure checks.
 
 Every block (k, n, q) is finite, so kernels and images of the coboundary are
-computed exactly over GF(2).  Representatives of a cohomology basis are the
+computed exactly over GF(2).  A dimension needs only the ranks of the two
+coboundaries at the block.  Representatives of a cohomology basis are the
 kernel basis vectors that enlarge the span of the incoming coboundaries,
 taken greedily in the fixed monomial order — deterministic by construction.
 
@@ -72,19 +73,22 @@ class CohomologyClass:
 class CohomologyBasis:
     """Representatives of one block's cohomology plus solving data.
 
-    ``span`` holds the image untagged and each representative tagged with
-    its own bit, so reducing a kernel vector in it yields its class.
+    On the free columns of the block's coboundary, kernel vector f is the
+    unit vector e_f, so a cocycle's class is read off its free-column bits.
+    ``span`` holds the free-column bits of the image untagged and the unit
+    vector of each representative's free column tagged with its own bit.
     """
 
-    __slots__ = ("k", "n", "q", "dim", "rep_vecs", "image_vecs", "slice", "span")
+    __slots__ = ("k", "n", "q", "dim", "rep_vecs", "image_vecs", "slice", "free", "span")
 
-    def __init__(self, k, n, q, rep_vecs, image_vecs, slice_, span):
+    def __init__(self, k, n, q, rep_vecs, image_vecs, slice_, free, span):
         self.k = k
         self.n = n
         self.q = q
         self.rep_vecs = rep_vecs
         self.image_vecs = image_vecs
         self.slice = slice_
+        self.free = free
         self.span = span
         self.dim = len(rep_vecs)
 
@@ -94,40 +98,52 @@ class CohomologyBasis:
 
     def class_coords(self, vec: int) -> tuple[int, ...]:
         """Express a kernel vector modulo the image; unique by construction."""
-        residue, x = self.span.reduce_tagged(vec)
-        if residue:
-            raise NotACocycleError("vector is closed but outside kernel span — corrupted complex")
+        x = self.span.reduce_tagged(vec & self.free)[1]
         return tuple((x >> j) & 1 for j in range(self.dim))
 
 
 @cached
 def cohomology_basis(k: int, n: int, q: int) -> CohomologyBasis:
+    """Representatives: the kernel vectors that enlarge the span of the
+    image, taken greedily in kernel order.  Kernel vector f enlarges it
+    exactly when no vector of the image has highest free-column bit f."""
     if q < 1:
         raise ValueError("cohomology lives in lengths >= 1")
     sl = graded_slice(k, n, q)
-    # the image of the incoming coboundary: the pivot columns of slice q-1,
-    # recorded when that slice was eliminated for its own kernel
-    image_vecs = graded_slice(k, n, q - 1).image_basis() if q > 1 else []
     kernel = sl.kernel_basis()
-    span = Gf2Span(image_vecs)
+    # the image of the incoming coboundary: the pivot columns of slice q-1
+    image_vecs = graded_slice(k, n, q - 1).image_basis() if q > 1 else []
+    free = ((1 << sl.dim) - 1) ^ sl.pivots
+    span = Gf2Span(w & free for w in image_vecs)
     rep_vecs = []
     for v in kernel:
-        if span.add(v, 1 << len(rep_vecs)):
+        if span.add(1 << (v.bit_length() - 1), 1 << len(rep_vecs)):
             rep_vecs.append(v)
-    # every kernel vector outside the image enlarges the span, so more
-    # representatives than this means part of the image lies outside the kernel
-    expected = len(kernel) - len(image_vecs)
-    if len(rep_vecs) != expected:
-        raise ValueError(
-            f"image not contained in kernel at (k={k}, n={n}, q={q}) — the complex is corrupted"
-        )
-    return CohomologyBasis(k, n, q, rep_vecs, image_vecs, sl, span)
+    # cohomology_dim also checks that the image lies in the kernel
+    if len(rep_vecs) != cohomology_dim(k, n, q):
+        raise ValueError(f"representatives disagree with the ranks at (k={k}, n={n}, q={q})")
+    return CohomologyBasis(k, n, q, rep_vecs, image_vecs, sl, free, span)
 
 
+@cached
 def cohomology_dim(k: int, n: int, q: int) -> int:
+    """dim C_q - rank d_q - rank d_{q-1}, from the slices' pivot masks.
+
+    Checks d_q d_{q-1} = 0 on the pivot columns of d_{q-1}; every column is
+    a combination of them, so this shows the image lies in the kernel.
+    """
     if q < 1:
         return 0
-    return cohomology_basis(k, n, q).dim
+    sl = graded_slice(k, n, q)
+    dim = sl.dim - sl.rank
+    if q > 1:
+        prev = graded_slice(k, n, q - 1)
+        if any(sl.delta.mul_vec(w) for w in prev.image_basis()):
+            raise ValueError(
+                f"image not contained in kernel at (k={k}, n={n}, q={q}) — the complex is corrupted"
+            )
+        dim -= prev.rank
+    return dim
 
 
 def class_of(c: Cochain, k: int = 1, n: int | None = None, q: int | None = None) -> CohomologyClass:

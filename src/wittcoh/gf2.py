@@ -11,7 +11,8 @@ leading bit, so inserting or reducing a vector costs one whole-int XOR per
 pivot it meets, never a bit test per entry.  Next to each pivot it can keep a
 tag: the set of inputs XORed into it, as a bitmask over their positions.  A
 kernel, a solution or an inverse is then read off the tags of a single pass
-over the columns.
+over the columns; the rank and the pivot columns need no tags, and one
+untagged pass through the same span gives them.
 """
 
 from __future__ import annotations
@@ -122,7 +123,19 @@ class BitMatrix:
         return out
 
     def rank(self) -> int:
-        return Gf2Span(self._cols).rank
+        return self.pivot_mask().bit_count()
+
+    def pivot_mask(self) -> int:
+        """The pivot columns as a bitmask: the columns independent of the
+        ones before them.  One untagged pass over the columns in order."""
+        span = Gf2Span()
+        mask = 0
+        for j, col in enumerate(self._cols):
+            residue = span.reduce(col)
+            if residue:
+                span.insert(residue)
+                mask |= 1 << j
+        return mask
 
     def kernel_basis(self) -> list[int]:
         """Basis of the right null space, one vector per free column.
@@ -138,7 +151,7 @@ class BitMatrix:
         for j, col in enumerate(self._cols):
             residue, tag = span.reduce_tagged(col, 1 << j)
             if residue:
-                span.add(residue, tag)
+                span.insert(residue, tag)
             else:
                 basis.append(tag)
         return basis
@@ -221,11 +234,16 @@ class Gf2Span:
         v, tag = self.reduce_tagged(v, tag)
         if v == 0:
             return False
-        top = v.bit_length() - 1
-        self._pivots[top] = v
+        self.insert(v, tag)
+        return True
+
+    def insert(self, residue: int, tag: int = 0) -> None:
+        """Store a nonzero vector that ``reduce_tagged`` already reduced
+        modulo the span, with the tag it returned, without reducing again."""
+        top = residue.bit_length() - 1
+        self._pivots[top] = residue
         if tag:
             self._tags[top] = tag
-        return True
 
     def __contains__(self, v: int) -> bool:
         return self.reduce(v) == 0

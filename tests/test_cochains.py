@@ -193,6 +193,27 @@ def test_corrupted_generator_is_scoped_to_its_block():
     assert coboundary(generator(9), 1) == c((1, 8), (2, 7), (3, 6), (4, 5))
 
 
+def _assert_columns_match_coboundary(ks, n_max):
+    for k in ks:
+        for n in range(k, n_max + 1):
+            for q in range(1, max_length(k, n) + 1):
+                sl = graded_slice(k, n, q)
+                nxt = graded_slice(k, n, q + 1)
+                for j, mono in enumerate(sl.basis):
+                    want = nxt.coords(coboundary(Cochain(frozenset({mono})), k))
+                    assert sl.delta.column(j) == want, (k, n, q, mono)
+
+
+def test_slice_columns_match_cochain_coboundary():
+    # the mask-keyed build against the tuple-level coboundary
+    _assert_columns_match_coboundary((-1, 0, 1, 2), 30)
+    with corrupted_generator(9):
+        _assert_columns_match_coboundary((1,), 20)
+        assert graded_slice(1, 9, 1).delta.column(0) == graded_slice(1, 9, 2).coords(
+            c((1, 8), (2, 7), (3, 6))
+        )
+
+
 def test_slice_coords_roundtrip():
     sl = graded_slice(1, 12, 2)
     v = sl.coords(c((1, 11), (5, 7)))

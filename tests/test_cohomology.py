@@ -132,6 +132,38 @@ def test_image_in_kernel_check_catches_corruption():
     assert cohomology_dim(1, 9, 2) == clean
 
 
+@pytest.mark.parametrize("dim_first", [True, False], ids=["dim-first", "basis-first"])
+def test_rank_path_matches_basis_path(dim_first):
+    clear_all()
+    cells = [
+        (k, n, q) for k in (-1, 0, 1, 2) for n in range(k, 31) for q in range(1, max_length(k, n) + 1)
+    ]
+    def basis_dim(k, n, q):
+        return cohomology_basis(k, n, q).dim
+
+    first, second = (cohomology_dim, basis_dim) if dim_first else (basis_dim, cohomology_dim)
+    dims = {cell: first(*cell) for cell in cells}
+    for cell in cells:
+        assert second(*cell) == dims[cell], cell
+
+
+def test_basis_path_catches_corruption_on_the_same_cells():
+    cells = [(n, q) for n in range(1, 25) for q in range(1, max_length(1, n) + 1)]
+    with corrupted_generator(9):
+        failing = {}
+        for build in (cohomology_dim, cohomology_basis):
+            clear_all()
+            failing[build] = []
+            for n, q in cells:
+                try:
+                    build(1, n, q)
+                except ValueError as exc:
+                    assert "image not contained in kernel" in str(exc)
+                    failing[build].append((n, q))
+        assert len(failing[cohomology_dim]) == 34
+        assert failing[cohomology_basis] == failing[cohomology_dim]
+
+
 # --- classes and products ----------------------------------------------------------
 
 
