@@ -14,7 +14,7 @@ import json
 import sys
 
 from .caching import clear_all
-from .cochains import graded_slice, max_length
+from .cochains import max_length
 from .cohomology import (
     central_extension_basis,
     cohomology_basis,
@@ -34,53 +34,55 @@ def _build_parser() -> argparse.ArgumentParser:
         "vector fields on the line: dimension tables, bases, and verification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, default_k: int = 1) -> None:
-        p.add_argument("--k", type=int, default=default_k, help="minimal generator index (>= -1)")
-        p.add_argument("--n-max", type=int, default=None, help="largest degree")
-        p.add_argument("--q-max", type=int, default=None, help="largest cochain length")
-        p.add_argument("--format", choices=("table", "json", "csv"), default="table")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-
-    for name, help_text, default_k in (
-        ("dims", "brute-force dimension table of the graded cohomology", 1),
-        ("poincare", "per-degree dimension polynomials (with the combinatorial prediction for k >= 1)", 1),
-        ("basis", "cohomology representatives per degree and length", 1),
-        ("verify", "run every verification suite", 4),
-        ("conjecture", "evidence scan for the presentation of the index-1 ring", 1),
-        ("extensions", "closed 2-cochains classifying the central extensions (k = -1)", -1),
+    flags = {
+        "k": dict(type=int, help="minimal generator index (>= -1)"),
+        "n_max": dict(type=int, help="largest degree"),
+        "q_max": dict(type=int, help="largest cochain length"),
+        "format": dict(choices=("table", "json", "csv")),
+        "seed": dict(type=int, help="seed for randomized checks"),
+    }
+    # Each subcommand takes only the flags it reads, with these defaults.
+    for name, help_text, defaults in (
+        ("dims", "brute-force dimension table of the graded cohomology",
+         {"k": 1, "n_max": 20, "q_max": None, "format": "table"}),
+        ("poincare", "per-degree dimension polynomials (with the combinatorial prediction for k >= 1)",
+         {"k": 1, "n_max": 20, "format": "table"}),
+        ("basis", "cohomology representatives per degree and length",
+         {"k": 1, "n_max": 20, "q_max": None, "format": "table"}),
+        ("verify", "run every verification suite", {"k": 4, "n_max": None, "seed": 0}),
+        ("conjecture", "evidence scan for the presentation of the index-1 ring",
+         {"n_max": 24, "format": "table"}),
+        ("extensions", "closed 2-cochains classifying the central extensions (k = -1)",
+         {"n_max": 20, "format": "table"}),
     ):
-        add_common(sub.add_parser(name, help=help_text), default_k)
+        p = sub.add_parser(name, help=help_text)
+        for dest, default in defaults.items():
+            p.add_argument("--" + dest.replace("_", "-"), default=default, **flags[dest])
     return parser
 
 
-# Subcommands defined at one minimal index only.
-_FIXED_K = {"conjecture": 1, "extensions": -1}
+# The least value of each bound; a subcommand without the flag skips its check.
+_MINIMA = {"k": -1, "n_max": 0, "q_max": 1}
 
 
 def _validate(args: argparse.Namespace) -> str | None:
-    if args.k < -1:
-        return "--k must be >= -1"
-    if args.k != _FIXED_K.get(args.command, args.k):
-        return f"{args.command} needs --k {_FIXED_K[args.command]}"
-    if args.n_max is not None and args.n_max < 0:
-        return "--n-max must be >= 0"
-    if args.q_max is not None and args.q_max < 1:
-        return "--q-max must be >= 1"
+    for dest, least in _MINIMA.items():
+        value = getattr(args, dest, None)
+        if value is not None and value < least:
+            return f"--{dest.replace('_', '-')} must be >= {least}"
     return None
 
 
 def _degree_range(args: argparse.Namespace) -> range:
-    lo = args.k if args.k < 0 else 0
-    return range(lo, (args.n_max if args.n_max is not None else 20) + 1)
+    return range(min(args.k, 0), args.n_max + 1)
 
 
-def _lengths(args: argparse.Namespace, n: int) -> list[int]:
-    """The lengths of degree n with a nonempty slice, up to --q-max."""
+def _lengths(args: argparse.Namespace, n: int) -> range:
+    """The lengths of degree n, up to --q-max; every one has a nonempty slice."""
     top = max_length(args.k, n)
     if args.q_max is not None:
         top = min(top, args.q_max)
-    return [q for q in range(1, top + 1) if graded_slice(args.k, n, q).dim]
+    return range(1, top + 1)
 
 
 def _emit_rows(
@@ -166,15 +168,14 @@ def cmd_verify(args: argparse.Namespace, stdout, stderr) -> int:
 
 
 def cmd_conjecture(args: argparse.Namespace, stdout, stderr) -> int:
-    n_max = args.n_max if args.n_max is not None else 24
-    report = scan(n_max)
+    report = scan(args.n_max)
     findings = report.findings()
     rows = [
         ["hilbert", len(report.hilbert_cells), sum(1 for c in report.hilbert_cells if not c.equal)],
         ["counting", len(report.counting_cells), sum(1 for c in report.counting_cells if not c.equal)],
     ]
     payload = {
-        "n_max": n_max,
+        "n_max": args.n_max,
         "hilbert": {"cells": len(report.hilbert_cells), "mismatches": rows[0][2]},
         "counting": {"cells": len(report.counting_cells), "mismatches": rows[1][2]},
         "findings": findings,
@@ -185,7 +186,7 @@ def cmd_conjecture(args: argparse.Namespace, stdout, stderr) -> int:
         for line in findings:
             print(line, file=stdout)
         if report.hilbert_ok and report.counting_ok:
-            print(f"conjecture-consistent (n <= {n_max})", file=stdout)
+            print(f"conjecture-consistent (n <= {args.n_max})", file=stdout)
         else:
             print("counterexample found", file=stdout)
     if not report.internally_consistent:
@@ -195,10 +196,9 @@ def cmd_conjecture(args: argparse.Namespace, stdout, stderr) -> int:
 
 
 def cmd_extensions(args: argparse.Namespace, stdout, stderr) -> int:
-    n_max = args.n_max if args.n_max is not None else 20
     entries = []
     rows = []
-    for n in range(2, n_max + 1, 2):
+    for n in range(2, args.n_max + 1, 2):
         for label, c in central_extension_basis(n):
             support = [list(mono) for mono in c.support()]
             entries.append({"n": n, "label": label, "support": support})

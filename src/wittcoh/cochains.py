@@ -50,25 +50,6 @@ def corrupted_generator(i: int) -> Iterator[None]:
         clear_all()
 
 
-def _merge(m1: Monomial, m2: Monomial) -> Monomial | None:
-    """Merge two sorted index tuples; None if they share an index."""
-    out = []
-    i = j = 0
-    while i < len(m1) and j < len(m2):
-        a, b = m1[i], m2[j]
-        if a == b:
-            return None
-        if a < b:
-            out.append(a)
-            i += 1
-        else:
-            out.append(b)
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class Cochain:
     """A GF(2) combination of wedge monomials; addition is symmetric difference."""
@@ -106,19 +87,13 @@ class Cochain:
     def is_homogeneous(self) -> bool:
         return len({(len(t), sum(t)) for t in self.terms}) <= 1
 
-    def _grading(self) -> tuple[int, int]:
-        grades = {(len(t), sum(t)) for t in self.terms}
+    @property
+    def grading(self) -> tuple[int, int]:
+        """(degree, length) in one pass; ValueError if zero or not homogeneous."""
+        grades = {(sum(t), len(t)) for t in self.terms}
         if len(grades) != 1:
             raise ValueError("cochain is zero or not homogeneous")
         return next(iter(grades))
-
-    @property
-    def length(self) -> int:
-        return self._grading()[0]
-
-    @property
-    def degree(self) -> int:
-        return self._grading()[1]
 
     def __str__(self) -> str:
         if not self.terms:
@@ -137,9 +112,8 @@ def wedge(a: Cochain, b: Cochain) -> Cochain:
     acc: set[Monomial] = set()
     for m1 in a.terms:
         for m2 in b.terms:
-            m = _merge(m1, m2)
-            if m is not None:
-                acc ^= {m}
+            if set(m1).isdisjoint(m2):
+                acc ^= {tuple(sorted(m1 + m2))}
     return Cochain(frozenset(acc))
 
 
@@ -157,22 +131,6 @@ def _check_min_index(mono: Monomial, k: int) -> None:
         raise ValueError(f"index {mono[0]} below the minimal index {k}")
 
 
-def _coboundary_terms(mono: Monomial, pairs: dict[int, list[tuple[int, int]]]) -> list[Monomial]:
-    """The monomials of the coboundary of one basis monomial, before the
-    mod-2 cancellation: a monomial listed twice is absent.  ``pairs`` maps
-    each index of the monomial to its ``_generator_pairs``."""
-    out = []
-    for pos, idx in enumerate(mono):
-        expansion = pairs[idx]
-        if not expansion:
-            continue
-        rest = mono[:pos] + mono[pos + 1 :]
-        for a, b in expansion:
-            if a not in rest and b not in rest:
-                out.append(tuple(sorted(rest + (a, b))))
-    return out
-
-
 def coboundary(c: Cochain, k: int = 1) -> Cochain:
     """Raises length by one, preserves degree."""
     for mono in c.terms:
@@ -180,8 +138,11 @@ def coboundary(c: Cochain, k: int = 1) -> Cochain:
     pairs = {i: _generator_pairs(i, k) for mono in c.terms for i in mono}
     acc: set[Monomial] = set()
     for mono in c.terms:
-        for m in _coboundary_terms(mono, pairs):
-            acc ^= {m}
+        for pos, idx in enumerate(mono):
+            rest = mono[:pos] + mono[pos + 1 :]
+            for a, b in pairs[idx]:
+                if a not in rest and b not in rest:
+                    acc ^= {tuple(sorted(rest + (a, b)))}
     return Cochain(frozenset(acc))
 
 
@@ -196,9 +157,8 @@ def boundary(c: Cochain, k: int = 1) -> Cochain:
                 if s % 2 == 0:
                     continue
                 rest = mono[:i] + mono[i + 1 : j] + mono[j + 1 :]
-                m = _merge(rest, (s,))
-                if m is not None:
-                    acc ^= {m}
+                if s not in rest:
+                    acc ^= {tuple(sorted(rest + (s,)))}
     return Cochain(frozenset(acc))
 
 
@@ -213,9 +173,8 @@ def generator_action(r: int, c: Cochain, min_index: int = 1) -> Cochain:
             if shifted < min_index:
                 raise ValueError(f"shifted index {shifted} below the minimal index {min_index}")
             rest = mono[:pos] + mono[pos + 1 :]
-            m = _merge(rest, (shifted,))
-            if m is not None:
-                acc ^= {m}
+            if shifted not in rest:
+                acc ^= {tuple(sorted(rest + (shifted,)))}
     return Cochain(frozenset(acc))
 
 

@@ -152,7 +152,7 @@ def class_of(c: Cochain, k: int = 1, n: int | None = None, q: int | None = None)
         if n is None or q is None:
             raise ValueError("zero cochain: pass n and q explicitly")
         return CohomologyClass(k, n, q, (0,) * cohomology_dim(k, n, q))
-    n, q = c.degree, c.length
+    n, q = c.grading
     basis = cohomology_basis(k, n, q)
     vec = basis.slice.coords(c)
     if basis.slice.delta.mul_vec(vec):

@@ -85,10 +85,7 @@ def _bidegree_words(q: int, n: int) -> tuple[tuple[BigradedMonomial, ...], dict[
         for b in range(qq // 2 + 1):
             a = qq - 2 * b
             for y_deg in range(0, nn // 4 + 1):
-                rest = nn - 4 * y_deg
-                if rest % 2:
-                    continue
-                x_deg = rest // 2
+                x_deg = (nn - 4 * y_deg) // 2
                 xs_list = ascending_tuples(x_deg, a, 1, 1)
                 ys_list = ascending_tuples(y_deg, b, 1, 1)
                 for xs in xs_list:
@@ -103,33 +100,21 @@ def monomials_in_bidegree(q: int, n: int) -> list[BigradedMonomial]:
     return list(_bidegree_words(q, n)[0])
 
 
-def relation_generators(n_cap: int) -> list[tuple[str, list[BigradedMonomial]]]:
-    """The ideal generators with degree at most n_cap, as monomial sums."""
-    gens: list[tuple[str, list[BigradedMonomial]]] = []
-    if n_cap >= 3:
-        gens.append(("E^X1", [BigradedMonomial(True, (1,), ())]))
-    if n_cap >= 5:
-        gens.append(("E^Y1", [BigradedMonomial(True, (), (1,))]))
-    i = 1
-    while 4 * i + 2 <= n_cap:
-        gens.append(
-            (f"G{i}", [BigradedMonomial(False, (2 * a + 1,), (i - a,)) for a in range(i)])
-        )
-        i += 1
-    i = 1
-    while 8 * i + 4 <= n_cap:
-        gens.append(
-            (f"H{i}", [BigradedMonomial(False, (), tuple(sorted((i - a, i + a + 1)))) for a in range(i)])
-        )
-        i += 1
-    return gens
-
-
 @cached
 def _relation_table(n_cap: int) -> tuple[tuple[int, int, tuple[BigradedMonomial, ...]], ...]:
-    """The ideal generators with degree at most n_cap as (q, n, terms);
+    """The ideal generators with degree at most n_cap as (q, n, terms), each
+    generator the sum of its terms, in the module docstring's order;
     memoized per cap."""
-    return tuple((*terms[0].bidegree, tuple(terms)) for _, terms in relation_generators(n_cap))
+    gens = []
+    if n_cap >= 3:
+        gens.append((BigradedMonomial(True, (1,), ()),))
+    if n_cap >= 5:
+        gens.append((BigradedMonomial(True, (), (1,)),))
+    for i in range(1, (n_cap - 2) // 4 + 1):
+        gens.append(tuple(BigradedMonomial(False, (2 * a + 1,), (i - a,)) for a in range(i)))
+    for i in range(1, (n_cap - 4) // 8 + 1):
+        gens.append(tuple(BigradedMonomial(False, (), (i - a, i + a + 1)) for a in range(i)))
+    return tuple((*terms[0].bidegree, terms) for terms in gens)
 
 
 def ideal_rank(q: int, n: int) -> int:

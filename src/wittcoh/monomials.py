@@ -110,7 +110,7 @@ def regular_basis(n: int, q: int) -> WedgeBasis:
 
 def decompose(c: Cochain) -> dict[MarkedPartition, int]:
     """Coordinates of a homogeneous cochain in the regular marked-wedge basis."""
-    return regular_basis(c.degree, c.length).decompose(c) if c else {}
+    return regular_basis(*c.grading).decompose(c) if c else {}
 
 
 def pair_cocycle(a: int, marked: bool = False) -> Cochain:
@@ -188,7 +188,7 @@ def corrected_basis(n: int, q: int) -> WedgeBasis:
 
 def decompose_corrected(c: Cochain) -> dict[MarkedPartition, int]:
     """Coordinates of a homogeneous cochain in the corrected-wedge basis."""
-    return corrected_basis(c.degree, c.length).decompose(c) if c else {}
+    return corrected_basis(*c.grading).decompose(c) if c else {}
 
 
 # ---------------------------------------------------------------------------

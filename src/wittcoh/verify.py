@@ -394,9 +394,7 @@ def criterion_conjecture(n_max: int | None = None) -> CheckResult:
     return res
 
 
-def run_suites(
-    n_max: int | None = None, k_bound: int = 4, seed: int = 0, trials: int = 100
-) -> list[CheckResult]:
+def run_suites(n_max: int | None = None, k_bound: int = 4, seed: int = 0) -> list[CheckResult]:
     """Run every suite at (possibly scaled-down) committed bounds."""
     i_max = 8 if n_max is None else min(8, n_max // 4)
     suites = [
@@ -410,7 +408,7 @@ def run_suites(
         ("product relations", lambda: criterion_product_relations(i_max)),
         ("low minimal index", lambda: criterion_low_min_index(n_max)),
         ("special counts", lambda: criterion_special_counts(n_max)),
-        ("structural", lambda: criterion_structural(n_max, trials, seed)),
+        ("structural", lambda: criterion_structural(n_max, seed=seed)),
         ("tensor blocks", lambda: criterion_tensor_blocks(n_max)),
         ("conjecture evidence", lambda: criterion_conjecture(n_max)),
     ]

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import re
 
 import pytest
 
@@ -126,21 +127,49 @@ def test_verify_detects_corrupted_coboundary():
     assert "FAIL" not in out
 
 
-def test_usage_errors_exit_2():
+def test_usage_errors_exit_2(capsys):
     assert run(["dims", "--format", "yaml"])[0] == 2
     assert run(["nonsense"])[0] == 2
     code, _, err = run(["dims", "--k", "-3", "--n-max", "4"])
     assert code == 2
     assert "error" in err
-    # conjecture scans minimal index 1 only, extensions minimal index -1 only
-    code, out, err = run(["conjecture", "--k", "2", "--n-max", "4"])
-    assert code == 2 and out == ""
-    assert "--k" in err
-    code, out, err = run(["extensions", "--k", "1", "--n-max", "4"])
-    assert code == 2 and out == ""
-    assert "--k" in err
-    assert run(["conjecture", "--k", "1", "--n-max", "4"])[0] == 0
-    assert run(["extensions", "--k", "-1", "--n-max", "4"])[0] == 0
+    # conjecture scans minimal index 1 only and extensions minimal index -1
+    # only, so neither takes --k; argparse rejects a flag on the process's stderr
+    capsys.readouterr()
+    for args in (
+        ["conjecture", "--k", "2"], ["conjecture", "--k", "1"],
+        ["extensions", "--k", "1"], ["extensions", "--k", "-1"],
+    ):
+        code, out, _ = run(args + ["--n-max", "4"])
+        captured = capsys.readouterr()
+        assert code == 2 and out == "" and captured.out == ""
+        assert "--k" in captured.err
+    assert run(["conjecture", "--n-max", "4"])[0] == 0
+    assert run(["extensions", "--n-max", "4"])[0] == 0
+
+
+# The flags each subcommand reads; any other flag is a usage error.
+READ_FLAGS = {
+    "dims": {"--k", "--n-max", "--q-max", "--format"},
+    "basis": {"--k", "--n-max", "--q-max", "--format"},
+    "poincare": {"--k", "--n-max", "--format"},
+    "verify": {"--k", "--n-max", "--seed"},
+    "conjecture": {"--n-max", "--format"},
+    "extensions": {"--n-max", "--format"},
+}
+FLAG_VALUES = {"--k": "1", "--n-max": "2", "--q-max": "1", "--format": "json", "--seed": "0"}
+
+
+@pytest.mark.parametrize("command", sorted(READ_FLAGS))
+def test_each_command_takes_only_the_flags_it_reads(command, capsys):
+    assert run([command, "--help"])[0] == 0
+    listed = set(re.findall(r"--[a-z-]+", capsys.readouterr().out)) - {"--help"}
+    assert listed == READ_FLAGS[command]
+    for flag in sorted(set(FLAG_VALUES) - READ_FLAGS[command]):
+        code, out, _ = run([command, flag, FLAG_VALUES[flag], "--n-max", "2"])
+        captured = capsys.readouterr()
+        assert code == 2 and out == "" and captured.out == ""
+        assert flag in captured.err
 
 
 def test_validation_rejects_bad_bounds():

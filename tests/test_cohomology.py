@@ -32,7 +32,7 @@ from wittcoh.cohomology import (
     representative,
 )
 from wittcoh.gf2 import Gf2Span
-from wittcoh.monomials import x_cocycle, y_cocycle, z_cocycle
+from wittcoh.monomials import decompose, decompose_corrected, x_cocycle, y_cocycle, z_cocycle
 from wittcoh.partitions import max_regular_length, regular_partitions
 
 
@@ -200,6 +200,14 @@ def test_class_of_nonzero():
 def test_class_of_rejects_non_cocycle():
     with pytest.raises(NotACocycleError):
         class_of(generator(3), 1)
+
+
+def test_non_homogeneous_cochain_rejected():
+    # two degrees of one length, and two lengths of one degree
+    for mixed in (generator(2) + generator(4), generator(5) + c((1, 4))):
+        for read in (lambda x: class_of(x, 1), decompose, decompose_corrected):
+            with pytest.raises(ValueError, match="not homogeneous"):
+                read(mixed)
 
 
 def test_class_zero_cochain_needs_block():

@@ -217,20 +217,28 @@ def test_compare_equal():
 def test_order_is_strict_partial_order():
     for n in range(1, 15):
         pool = all_marked(n)
-        rel = {}
+        # bit j of less[i] (greater[i]): pool[i] is less (greater) than pool[j];
+        # bit i of below[j]: pool[i] is less than pool[j]
+        less, greater, below = [0] * len(pool), [0] * len(pool), [0] * len(pool)
         for i, a in enumerate(pool):
             for j, b in enumerate(pool):
                 c = compare(a, b)
-                rel[i, j] = c
                 if i == j:
                     assert c is Order.EQUAL
-        for (i, j), c in rel.items():
-            if c is Order.LESS:
-                assert rel[j, i] is Order.GREATER
-        succ = {i: {j for j in range(len(pool)) if rel[i, j] is Order.LESS} for i in range(len(pool))}
-        for i, bigger in succ.items():
-            for j in bigger:
-                assert succ[j] <= bigger, f"transitivity fails at {pool[i]}, {pool[j]}"
+                elif c is Order.LESS:
+                    less[i] |= 1 << j
+                    below[j] |= 1 << i
+                elif c is Order.GREATER:
+                    greater[i] |= 1 << j
+        for j in range(len(pool)):
+            assert not below[j] & ~greater[j], f"antisymmetry fails at {pool[j]}"
+        for i, bigger in enumerate(less):
+            rest = bigger
+            while rest:
+                low = rest & -rest
+                j = low.bit_length() - 1
+                assert not less[j] & ~bigger, f"transitivity fails at {pool[i]}, {pool[j]}"
+                rest ^= low
 
 
 def test_union_monotonicity():
