@@ -84,9 +84,6 @@ class Cochain:
     def __add__(self, other: "Cochain") -> "Cochain":
         return Cochain(self.terms ^ other.terms)
 
-    def is_homogeneous(self) -> bool:
-        return len({(len(t), sum(t)) for t in self.terms}) <= 1
-
     @property
     def grading(self) -> tuple[int, int]:
         """(degree, length) in one pass; ValueError if zero or not homogeneous."""

@@ -65,6 +65,8 @@ class CohomologyClass:
     def __add__(self, other: "CohomologyClass") -> "CohomologyClass":
         if (self.k, self.n, self.q) != (other.k, other.n, other.q):
             raise ValueError("classes live in different blocks")
+        if len(self.coords) != len(other.coords):
+            raise ValueError(f"coordinate lengths differ: {len(self.coords)} and {len(other.coords)}")
         return CohomologyClass(
             self.k, self.n, self.q, tuple(a ^ b for a, b in zip(self.coords, other.coords))
         )
@@ -147,12 +149,17 @@ def cohomology_dim(k: int, n: int, q: int) -> int:
 
 
 def class_of(c: Cochain, k: int = 1, n: int | None = None, q: int | None = None) -> CohomologyClass:
-    """The class of a closed cochain; zero cochains need explicit (n, q)."""
+    """The class of a closed cochain; zero cochains need explicit (n, q).
+
+    An explicit n or q must agree with a nonzero cochain's grading."""
     if not c:
         if n is None or q is None:
             raise ValueError("zero cochain: pass n and q explicitly")
         return CohomologyClass(k, n, q, (0,) * cohomology_dim(k, n, q))
-    n, q = c.grading
+    degree, length = c.grading
+    if n not in (None, degree) or q not in (None, length):
+        raise ValueError(f"cochain of (n={degree}, q={length}) passed with n={n}, q={q}")
+    n, q = degree, length
     basis = cohomology_basis(k, n, q)
     vec = basis.slice.coords(c)
     if basis.slice.delta.mul_vec(vec):
@@ -162,6 +169,8 @@ def class_of(c: Cochain, k: int = 1, n: int | None = None, q: int | None = None)
 
 def representative(cls: CohomologyClass) -> Cochain:
     basis = cohomology_basis(cls.k, cls.n, cls.q)
+    if len(cls.coords) != basis.dim:
+        raise ValueError(f"{len(cls.coords)} coordinates for a block of dimension {basis.dim}")
     vec = 0
     for j, bit in enumerate(cls.coords):
         if bit:

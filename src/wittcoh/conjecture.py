@@ -72,6 +72,13 @@ def multiply(a: BigradedMonomial, b: BigradedMonomial) -> BigradedMonomial | Non
 
 
 @cached
+def _strict_tuples(total: int, count: int) -> tuple[tuple[int, ...], ...]:
+    """The strictly increasing tuples of `count` positive integers summing to
+    `total`: the X or Y index lists of one word; memoized."""
+    return tuple(ascending_tuples(total, count, 1, 1))
+
+
+@cached
 def _bidegree_words(q: int, n: int) -> tuple[tuple[BigradedMonomial, ...], dict[BigradedMonomial, int]]:
     """The square-free words of bidegree (q, n), sorted, and each word's
     position; memoized per bidegree."""
@@ -85,10 +92,8 @@ def _bidegree_words(q: int, n: int) -> tuple[tuple[BigradedMonomial, ...], dict[
         for b in range(qq // 2 + 1):
             a = qq - 2 * b
             for y_deg in range(0, nn // 4 + 1):
-                x_deg = (nn - 4 * y_deg) // 2
-                xs_list = ascending_tuples(x_deg, a, 1, 1)
-                ys_list = ascending_tuples(y_deg, b, 1, 1)
-                for xs in xs_list:
+                ys_list = _strict_tuples(y_deg, b)
+                for xs in _strict_tuples((nn - 4 * y_deg) // 2, a):
                     for ys in ys_list:
                         out.append(BigradedMonomial(bool(has_e), xs, ys))
     out.sort(key=lambda m: (m.has_e, m.xs, m.ys))

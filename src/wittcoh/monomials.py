@@ -40,17 +40,28 @@ from .partitions import (
 )
 
 
+@cached
+def _factor(i: int, marked: bool) -> Cochain:
+    """The factor of part i in a marked wedge: e_i, or its coboundary when
+    marked (zero for an even i and for i = 1)."""
+    return coboundary(generator(i), 1) if marked else generator(i)
+
+
 def marked_wedge(mp: MarkedPartition) -> Cochain | None:
-    """The wedge cochain of a marked partition; None when it collapses to zero."""
+    """The wedge cochain of a marked partition; None when it collapses to zero.
+
+    A zero factor (a mark on an even part or on 1) gives None before any
+    wedge is built."""
     base = mp.base
     if base.length == 0:
         raise ValueError("empty partition has no wedge monomial")
     if base.parts[0] < 1:
         raise ValueError("marked wedges need parts >= 1")
-    marked = set(mp.marks)
-    out = Cochain.unit()
-    for i in base.parts:
-        factor = coboundary(generator(i), 1) if i in marked else generator(i)
+    factors = [_factor(i, i in mp.marks) for i in base.parts]
+    if not all(factors):
+        return None
+    out = factors[0]
+    for factor in factors[1:]:
         out = wedge(out, factor)
         if not out:
             return None
@@ -120,10 +131,7 @@ def pair_cocycle(a: int, marked: bool = False) -> Cochain:
         raise ValueError("needs odd a >= 1")
     out = Cochain.zero()
     for r in range((a - 1) // 2 + 1):
-        left = generator(a - 2 * r)
-        if marked:
-            left = coboundary(left, 1)
-        out = out + wedge(left, generator(a + 2 * r + 2))
+        out = out + wedge(_factor(a - 2 * r, marked), generator(a + 2 * r + 2))
     return out
 
 
@@ -146,8 +154,10 @@ def simple_corrected(p: Partition, marked: bool = False) -> Cochain | None:
     return out
 
 
+@cached
 def corrected_wedge(mp: MarkedPartition) -> Cochain:
-    """Corrected wedge of a regular marked partition (product over components)."""
+    """Corrected wedge of a regular marked partition (product over components);
+    memoized per marked partition."""
     if not is_regular_marked(mp, 1):
         raise ValueError(f"{mp} is not a regular marked partition")
     marked = set(mp.marks)

@@ -249,9 +249,8 @@ def test_max_length():
 
 def test_homogeneity_bookkeeping():
     v = c((1, 4), (2, 3))
-    assert v.is_homogeneous() and v.grading == (5, 2)
+    assert v.grading == (5, 2)
     mixed = c((1,), (1, 2))
-    assert not mixed.is_homogeneous()
     with pytest.raises(ValueError):
         _ = mixed.grading
     with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from wittcoh.cochains import (
     wedge,
 )
 from wittcoh.cohomology import (
+    CohomologyClass,
     NotACocycleError,
     central_extension_basis,
     check_action_identities,
@@ -214,6 +215,22 @@ def test_class_zero_cochain_needs_block():
     with pytest.raises(ValueError):
         class_of(Cochain.zero(), 1)
     assert class_of(Cochain.zero(), 1, n=12, q=2).is_zero
+
+
+def test_inconsistent_class_input_rejected():
+    y2 = y_cocycle(2)  # lives at (n=8, q=2)
+    assert class_of(y2, 1, n=8, q=2) == class_of(y2, 1)
+    for n, q in ((99, 7), (99, None), (None, 7), (8, 3)):
+        with pytest.raises(ValueError, match="passed with"):
+            class_of(y2, 1, n=n, q=q)
+    cls = class_of(y2, 1)
+    assert cls.coords and not cls.is_zero
+    for coords in (cls.coords[:-1], cls.coords + (0,)):
+        bad = CohomologyClass(1, 8, 2, coords)
+        with pytest.raises(ValueError, match="coordinates for a block"):
+            representative(bad)
+        with pytest.raises(ValueError, match="coordinate lengths differ"):
+            cls + bad
 
 
 def test_cup_examples():

@@ -11,6 +11,7 @@ from wittcoh.conjecture import (
     multiply,
     scan,
 )
+from wittcoh.partitions import ascending_tuples
 
 
 def names(ms):
@@ -38,6 +39,39 @@ def test_clear_caches_empties_the_bidegree_memo():
     assert conjecture._bidegree_words.cache_info().currsize > 0
     wittcoh.clear_caches()
     assert conjecture._bidegree_words.cache_info().currsize == 0
+
+
+def reference_words(q, n, tuples):
+    """Every word whose ``bidegree`` reads (q, n), from the strict X and Y
+    tuples of every index sum, sorted as the memo sorts them."""
+    out = []
+    for has_e in (False, True):
+        for b in range((q - has_e) // 2 + 1):
+            a = q - has_e - 2 * b
+            for x_sum in range(n // 2 + 1):
+                for y_sum in range(n // 4 + 1):
+                    for xs in tuples(x_sum, a):
+                        for ys in tuples(y_sum, b):
+                            word = BigradedMonomial(has_e, xs, ys)
+                            if word.bidegree == (q, n):
+                                out.append(word)
+    return sorted(out, key=lambda m: (m.has_e, m.xs, m.ys))
+
+
+def test_bidegree_words_match_ascending_tuples_reference():
+    table = {}
+
+    def tuples(total, count):
+        if (total, count) not in table:
+            table[total, count] = ascending_tuples(total, count, 1, 1)
+        return table[total, count]
+
+    for q in range(9):
+        for n in range(40):
+            want = reference_words(q, n, tuples)
+            words, pos = conjecture._bidegree_words(q, n)
+            assert list(words) == want, (q, n)
+            assert pos == {m: i for i, m in enumerate(want)}
 
 
 def test_multiply_square_free():

@@ -2,8 +2,10 @@ from itertools import combinations
 
 import pytest
 
+import wittcoh
 from conftest import M, P
-from wittcoh.cochains import Cochain, coboundary, generator, max_length, wedge
+from wittcoh import conjecture, monomials
+from wittcoh.cochains import Cochain, coboundary, corrupted_generator, generator, max_length, wedge
 from wittcoh.monomials import (
     corrected_basis,
     corrected_wedge,
@@ -47,6 +49,62 @@ def test_marked_wedge_collapses():
     assert marked_wedge(M((4,), (4,))) is None
     assert marked_wedge(M((2, 2, 3))) is None
     assert marked_wedge(M((1,), (1,))) is None
+
+
+def reference_marked_wedge(mp):
+    """The product over the parts from the unit, each factor built afresh."""
+    out = Cochain.unit()
+    for i in mp.base.parts:
+        factor = coboundary(generator(i), 1) if i in mp.marks else generator(i)
+        out = wedge(out, factor)
+        if not out:
+            return None
+    return out
+
+
+def test_marked_wedge_matches_unit_loop_reference():
+    collapsed = 0
+    for n in range(1, 19):
+        for q in range(1, max_length(1, n) + 1):
+            for base in strict_partitions(n, q):
+                for r in range(q + 1):
+                    for marks in combinations(base.parts, r):
+                        mp = M(base.parts, marks)
+                        want = reference_marked_wedge(mp)
+                        assert marked_wedge(mp) == want, mp
+                        collapsed += want is None
+    assert collapsed > 0
+
+
+def test_clear_caches_empties_the_wedge_and_tuple_memos():
+    wittcoh.clear_caches()
+    marked_wedge(M((3, 5), (5,)))
+    corrected_wedge(M((5, 7)))
+    conjecture.monomials_in_bidegree(3, 12)
+    memos = (monomials._factor, monomials.corrected_wedge, conjecture._strict_tuples)
+    assert all(memo.cache_info().currsize for memo in memos)
+    wittcoh.clear_caches()
+    assert not any(memo.cache_info().currsize for memo in memos)
+
+
+def test_wedge_memos_follow_corrupted_generator():
+    # both shapes read the coboundary of e_9: the marked wedge as a factor,
+    # the corrected wedge through the marked pair cocycle at 9
+    shape, pair = M((2, 9), (9,)), M((9, 11), (9,))
+
+    def reference_corrected():
+        out = Cochain.zero()
+        for r in range(5):
+            out = out + wedge(coboundary(generator(9 - 2 * r), 1), generator(11 + 2 * r))
+        return out
+
+    clean = marked_wedge(shape), corrected_wedge(pair)
+    assert clean == (reference_marked_wedge(shape), reference_corrected())
+    with corrupted_generator(9):
+        inside = marked_wedge(shape), corrected_wedge(pair)
+        assert inside == (reference_marked_wedge(shape), reference_corrected())
+        assert inside[0] != clean[0] and inside[1] != clean[1]
+    assert (marked_wedge(shape), corrected_wedge(pair)) == clean
 
 
 def test_regular_basis_shapes():
