@@ -192,14 +192,17 @@ class GradedSlice:
     """Monomial basis of one (degree, length) block and its coboundary matrix.
 
     ``delta`` has one column per basis monomial of this block and one row per
-    basis monomial of the (q+1)-block of the same degree.  The first
-    elimination of ``delta`` records its pivot columns as one bitmask, so the
-    rank and the image of ``delta`` are read off without eliminating again.
-    The position of each monomial, which ``coords`` reads, is indexed on the
-    first call only: ``dims`` never reads it.
+    basis monomial of the (q+1)-block of the same degree, in that block's
+    column order.  Before its one untagged pass a slice checks d_q d_{q-1} = 0
+    on the pivot columns of slice q-1.  If that holds, each leading row t of
+    slice q-1 is the top bit of an image vector r with d_q r = 0, so column t
+    depends on the columns before it, and the pass skips (clears) it.  The
+    pass records the pivot columns and leading rows, so the rank and image
+    are read off without eliminating again.  The position of each monomial,
+    which ``coords`` reads, is indexed on the first call only.
     """
 
-    __slots__ = ("k", "n", "q", "basis", "delta", "_pos", "_pivots")
+    __slots__ = ("k", "n", "q", "basis", "delta", "_pos", "_pass")
 
     def __init__(self, k: int, n: int, q: int, basis: tuple[Monomial, ...], delta: BitMatrix):
         self.k = k
@@ -208,50 +211,52 @@ class GradedSlice:
         self.basis = basis
         self.delta = delta
         self._pos: dict[Monomial, int] | None = None
-        self._pivots: int | None = None
+        self._pass: tuple[bool, int, int, int] | None = None
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
+    def _eliminate(self) -> tuple[bool, int, int, int]:
+        """(closed, cleared, pivots, leads), from the check and one pass."""
+        if self._pass is None:
+            closed, cleared = True, 0
+            if self.q > 1:
+                prev = graded_slice(self.k, self.n, self.q - 1)
+                closed = not any(self.delta.mul_vec(w) for w in prev.image_basis())
+                cleared = prev.leads if closed else 0
+            self._pass = (closed, cleared, *self.delta.echelon(cleared))
+        return self._pass
+
+    @property
+    def closed(self) -> bool:
+        """Whether d_q vanishes on the image of d_{q-1}."""
+        return self._eliminate()[0]
+
+    @property
+    def cleared(self) -> int:
+        """The skipped columns: slice q-1's leading rows if closed, else none."""
+        return self._eliminate()[1]
+
     @property
     def pivots(self) -> int:
-        """The pivot columns of ``delta`` as a bitmask: the columns that are
-        independent of the ones before them.  Eliminates ``delta`` in one
-        untagged pass only if it never was; every other column is free."""
-        if self._pivots is None:
-            self._pivots = self.delta.pivot_mask()
-        return self._pivots
+        """The columns independent of the ones before them; the rest are free."""
+        return self._eliminate()[2]
+
+    @property
+    def leads(self) -> int:
+        """The leading rows of an echelon basis of the image."""
+        return self._eliminate()[3]
 
     @property
     def rank(self) -> int:
         return self.pivots.bit_count()
 
-    def kernel_basis(self) -> list[int]:
-        """The kernel of ``delta``, one vector per free column (see
-        ``BitMatrix.kernel_basis``); records the pivot columns on the way.
-
-        Each kernel vector's highest bit is its free column, and every other
-        column is a pivot column.
-        """
-        kernel = self.delta.kernel_basis()
-        free = 0
-        for v in kernel:
-            free |= 1 << (v.bit_length() - 1)
-        self._pivots = ((1 << self.dim) - 1) ^ free
-        return kernel
-
     def image_basis(self) -> list[int]:
         """The pivot columns of ``delta``, in column order: a basis of the
         image in the (q+1)-block."""
-        cols = self.delta.columns()
-        out = []
-        v = self.pivots
-        while v:
-            low = v & -v
-            out.append(cols[low.bit_length() - 1])
-            v ^= low
-        return out
+        bits = bin(self.pivots)[:1:-1]  # bits[j] == "1" for a pivot column j
+        return [col for col, bit in zip(self.delta.columns(), bits) if bit == "1"]
 
     def coords(self, c: Cochain) -> int:
         if self._pos is None:

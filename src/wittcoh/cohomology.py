@@ -108,11 +108,15 @@ class CohomologyBasis:
 def cohomology_basis(k: int, n: int, q: int) -> CohomologyBasis:
     """Representatives: the kernel vectors that enlarge the span of the
     image, taken greedily in kernel order.  Kernel vector f enlarges it
-    exactly when no vector of the image has highest free-column bit f."""
+    exactly when no vector of the image has highest free-column bit f.
+
+    A cleared column of the slice is such a highest bit, so the kernel
+    pass skips it without changing the choice."""
     if q < 1:
         raise ValueError("cohomology lives in lengths >= 1")
+    dim = cohomology_dim(k, n, q)  # raises unless the image lies in the kernel
     sl = graded_slice(k, n, q)
-    kernel = sl.kernel_basis()
+    kernel = sl.delta.kernel_basis(sl.cleared)
     # the image of the incoming coboundary: the pivot columns of slice q-1
     image_vecs = graded_slice(k, n, q - 1).image_basis() if q > 1 else []
     free = ((1 << sl.dim) - 1) ^ sl.pivots
@@ -121,8 +125,7 @@ def cohomology_basis(k: int, n: int, q: int) -> CohomologyBasis:
     for v in kernel:
         if span.add(1 << (v.bit_length() - 1), 1 << len(rep_vecs)):
             rep_vecs.append(v)
-    # cohomology_dim also checks that the image lies in the kernel
-    if len(rep_vecs) != cohomology_dim(k, n, q):
+    if len(rep_vecs) != dim:
         raise ValueError(f"representatives disagree with the ranks at (k={k}, n={n}, q={q})")
     return CohomologyBasis(k, n, q, rep_vecs, image_vecs, sl, free, span)
 
@@ -131,20 +134,20 @@ def cohomology_basis(k: int, n: int, q: int) -> CohomologyBasis:
 def cohomology_dim(k: int, n: int, q: int) -> int:
     """dim C_q - rank d_q - rank d_{q-1}, from the slices' pivot masks.
 
-    Checks d_q d_{q-1} = 0 on the pivot columns of d_{q-1}; every column is
-    a combination of them, so this shows the image lies in the kernel.
+    Raises unless slice q found d_q d_{q-1} = 0 on the pivot columns of
+    d_{q-1}; every column is a combination of them, so this shows the image
+    lies in the kernel.
     """
-    if q < 1:
-        return 0
+    if not 1 <= q <= max_length(k, n):
+        return 0  # the block is empty
     sl = graded_slice(k, n, q)
+    if not sl.closed:
+        raise ValueError(
+            f"image not contained in kernel at (k={k}, n={n}, q={q}) — the complex is corrupted"
+        )
     dim = sl.dim - sl.rank
     if q > 1:
-        prev = graded_slice(k, n, q - 1)
-        if any(sl.delta.mul_vec(w) for w in prev.image_basis()):
-            raise ValueError(
-                f"image not contained in kernel at (k={k}, n={n}, q={q}) — the complex is corrupted"
-            )
-        dim -= prev.rank
+        dim -= graded_slice(k, n, q - 1).rank
     return dim
 
 

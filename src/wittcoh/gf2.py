@@ -12,7 +12,10 @@ pivot it meets, never a bit test per entry.  Next to each pivot it can keep a
 tag: the set of inputs XORed into it, as a bitmask over their positions.  A
 kernel, a solution or an inverse is then read off the tags of a single pass
 over the columns; the rank and the pivot columns need no tags, and one
-untagged pass through the same span gives them.
+untagged pass (``echelon``) through the same loop gives them and the leading
+rows, the span's leading bits.  Both passes can skip *cleared* columns:
+columns the caller knows to depend on earlier ones, so only their own kernel
+vectors are left out.
 """
 
 from __future__ import annotations
@@ -116,29 +119,22 @@ class BitMatrix:
             raise ValueError("vector has bits outside the column range")
         cols = self._cols
         out = 0
-        while v:
-            low = v & -v
-            out ^= cols[low.bit_length() - 1]
-            v ^= low
+        while v:  # top bit first: v shrinks as it goes
+            top = v.bit_length() - 1
+            out ^= cols[top]
+            v ^= 1 << top
         return out
 
     def rank(self) -> int:
-        return self.pivot_mask().bit_count()
+        return self.echelon()[0].bit_count()
 
-    def pivot_mask(self) -> int:
-        """The pivot columns as a bitmask: the columns independent of the
-        ones before them.  One untagged pass over the columns in order."""
-        span = Gf2Span()
-        mask = 0
-        for j, col in enumerate(self._cols):
-            residue = span.reduce(col)
-            if residue:
-                span.insert(residue)
-                mask |= 1 << j
-        return mask
+    def echelon(self, cleared: int = 0) -> tuple[int, int]:
+        """The pivot columns (those independent of the ones before them) and
+        the leading rows, as bitmasks, from one untagged pass in order."""
+        return self._eliminate(cleared, tagged=False)[:2]
 
-    def kernel_basis(self) -> list[int]:
-        """Basis of the right null space, one vector per free column.
+    def kernel_basis(self, cleared: int = 0) -> list[int]:
+        """Basis of the right null space, one vector per uncleared free column.
 
         One tagged pass over the columns in order: a column that reduces to
         zero against the earlier pivot columns yields its tag as a kernel
@@ -146,15 +142,27 @@ class BitMatrix:
         only, so it is the vector read off the reduced row echelon form, and
         its highest bit is its free column.
         """
+        return self._eliminate(cleared, tagged=True)[2]
+
+    def _eliminate(self, cleared: int, tagged: bool) -> tuple[int, int, list[int]]:
+        """Pivot columns, leading rows and (tagged) kernel vectors of one
+        in-order pass that skips the cleared columns."""
+        if cleared >> self.ncols:
+            raise ValueError("cleared mask has bits outside the column range")
+        skip = bin(cleared)[:1:-1].ljust(self.ncols, "0")  # "1" for a cleared column
         span = Gf2Span()
-        basis = []
-        for j, col in enumerate(self._cols):
-            residue, tag = span.reduce_tagged(col, 1 << j)
+        pivots = 0
+        kernel = []
+        for j, (col, cleared_j) in enumerate(zip(self._cols, skip)):
+            if cleared_j == "1":
+                continue
+            residue, tag = span.reduce_tagged(col, 1 << j if tagged else 0)
             if residue:
                 span.insert(residue, tag)
-            else:
-                basis.append(tag)
-        return basis
+                pivots |= 1 << j
+            elif tagged:
+                kernel.append(tag)
+        return pivots, sum(1 << top for top in span._pivots), kernel
 
     def solve(self, target: int) -> int | None:
         """A coefficient vector x with self @ x == target, or None.

@@ -47,6 +47,12 @@ def _factor(i: int, marked: bool) -> Cochain:
     return coboundary(generator(i), 1) if marked else generator(i)
 
 
+def markable_parts(base: Partition) -> tuple[int, ...]:
+    """The parts of base whose marked factor is nonzero; a mark on any other
+    part makes the marked wedge zero."""
+    return tuple(i for i in base.parts if _factor(i, True))
+
+
 def marked_wedge(mp: MarkedPartition) -> Cochain | None:
     """The wedge cochain of a marked partition; None when it collapses to zero.
 

@@ -181,6 +181,7 @@ def test_validation_rejects_bad_bounds():
 # bytes unchanged.
 GOLDEN_JSON = [
     (["dims", "--k", "1", "--n-max", "44"], "26a030287246f4c07d4228565676864a"),
+    (["dims", "--k", "1", "--n-max", "58"], "d03ef236e187800ab9a6500b4b497472"),
     (["basis", "--n-max", "30"], "0397b9547552bc2c80f5f9ce77174501"),
     (["basis", "--k", "-1", "--n-max", "22"], "d64e6438e9f114d987c0048b0ac13242"),
     (["basis", "--k", "2", "--n-max", "30"], "5b8796d92d7e9c9f96bcb2713c385e52"),

@@ -165,6 +165,48 @@ def test_basis_path_catches_corruption_on_the_same_cells():
         assert failing[cohomology_basis] == failing[cohomology_dim]
 
 
+def top_bit_in(mask, v):
+    return (mask >> (v.bit_length() - 1)) & 1
+
+
+@pytest.mark.parametrize("dim_first", [True, False], ids=["dim-first", "basis-first"])
+def test_clearing_is_exact(dim_first):
+    # each slice skips the leading rows of the slice before it; its pivot
+    # mask and its kernel vectors must be the uncleared pass's, less only
+    # the cleared columns' own kernel vectors
+    clear_all()
+    cells = [
+        (k, n, q)
+        for k, n_top in ((-1, 30), (0, 30), (1, 50), (2, 30))
+        for n in range(k, n_top + 1)
+        for q in range(1, max_length(k, n) + 1)
+    ]
+    for cell in cells:
+        (cohomology_dim if dim_first else cohomology_basis)(*cell)
+    for k, n, q in cells:
+        sl = graded_slice(k, n, q)
+        assert sl.closed and sl.pivots == sl.delta.echelon()[0], (k, n, q)
+        cleared = sl.cleared  # one column per leading row of slice q-1
+        assert cleared.bit_count() == (graded_slice(k, n, q - 1).rank if q > 1 else 0)
+        kernel = sl.delta.kernel_basis(cleared)
+        assert kernel == [v for v in sl.delta.kernel_basis() if not top_bit_in(cleared, v)], (k, n, q)
+        assert not any(top_bit_in(cleared, v) for v in cohomology_basis(k, n, q).rep_vecs)
+
+
+def test_pivot_masks_stay_exact_on_a_corrupted_complex():
+    # a slice that fails the d∘d check must not clear: its pivot mask is
+    # still the uncleared pass's, and the check fails on the same 34 cells
+    with corrupted_generator(9):
+        unclosed = []
+        for n in range(1, 25):
+            for q in range(1, max_length(1, n) + 1):
+                sl = graded_slice(1, n, q)
+                assert sl.pivots == sl.delta.echelon()[0], (n, q)
+                if not sl.closed:
+                    unclosed.append((n, q))
+        assert len(unclosed) == 34 and unclosed[0] == (9, 2)
+
+
 # --- classes and products ----------------------------------------------------------
 
 

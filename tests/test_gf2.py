@@ -199,6 +199,41 @@ def test_inverse_matches_rref_oracle(m):
         assert m.inverse() == want
 
 
+def rank_of_packed(rows, ncols):
+    return naive_rank([[(r >> j) & 1 for j in range(ncols)] for r in rows])
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrices(), st.data())
+def test_clearing_free_columns_changes_only_their_kernel_vectors(m, data):
+    # row t leads an echelon basis of the column space exactly when the rows
+    # from t on have a larger rank than the rows after t
+    rows = m.rows()
+    leads = sum(
+        1 << t
+        for t in range(m.nrows)
+        if rank_of_packed(rows[t:], m.ncols) > rank_of_packed(rows[t + 1 :], m.ncols)
+    )
+    pivots, free = m.echelon()[0], 0
+    for v in rref_kernel(m):
+        free |= 1 << (v.bit_length() - 1)
+    assert pivots == ((1 << m.ncols) - 1) ^ free
+    cleared = data.draw(st.integers(0, (1 << m.ncols) - 1)) & free
+    assert m.echelon(cleared) == (pivots, leads) == m.echelon()
+    assert m.rank() == pivots.bit_count()
+    kept = [v for v in rref_kernel(m) if not (cleared >> (v.bit_length() - 1)) & 1]
+    assert m.kernel_basis(cleared) == kept
+
+
+def test_cleared_mask_outside_the_columns_rejected():
+    m = BitMatrix.zeros(2, 3)
+    for bad in (0b1000, 0b1001):
+        with pytest.raises(ValueError, match="cleared"):
+            m.kernel_basis(bad)
+        with pytest.raises(ValueError, match="cleared"):
+            m.echelon(bad)
+
+
 def test_slice_kernels_match_rref_oracle():
     for k in (-1, 0, 1, 2):
         for n in range(k, 31):
