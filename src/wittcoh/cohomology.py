@@ -1,19 +1,19 @@
-"""Brute-force cohomology of the graded blocks, with the structure checks.
+"""Brute-force cohomology of the graded blocks, and the dimension predictions.
 
 Every block (k, n, q) is finite, so kernels and images of the coboundary are
 computed exactly over GF(2).  A dimension needs only the ranks of the two
-coboundaries at the block.  Representatives of a cohomology basis are the
-kernel basis vectors that enlarge the span of the incoming coboundaries,
-taken greedily in the fixed monomial order — deterministic by construction.
+coboundaries at the block.  The representatives of a cohomology basis are
+the kernel vectors of the slice's cleared elimination, in the fixed monomial
+order — deterministic by construction.
 
-The module also houses the checkable predictions:
+The module also computes the predictions that the CLI and the ``verify``
+suites compare against:
 
 * the combinatorial generating function for the dimensions at minimal index
   k >= 1 (sum over the indexing partitions of (1+t)^leading * t^length);
 * the dimension transfers from minimal index 1 to minimal indices 0 and -1;
 * the explicit closed 2-cochains spanning the degree-n part of the second
-  cohomology at minimal index -1 (the central extension classes);
-* the index-raising action identities feeding the connecting-map argument.
+  cohomology at minimal index -1 (the central extension classes).
 """
 
 from __future__ import annotations
@@ -21,28 +21,11 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations
 
 from .caching import cached
-from .cochains import (
-    Cochain,
-    coboundary,
-    generator,
-    generator_action,
-    graded_slice,
-    max_length,
-    wedge,
-)
+from .cochains import Cochain, generator, graded_slice, max_length, wedge
 from .gf2 import Gf2Span
-from .monomials import corrected_wedge, marked_subsets, pair_cocycle
-from .partitions import (
-    MarkedPartition,
-    Partition,
-    canonical_decomposition,
-    cohomology_partitions,
-    leading_parts,
-)
-from .report import CheckResult
+from .partitions import cohomology_partitions, leading_parts
 
 
 class NotACocycleError(ValueError):
@@ -106,25 +89,25 @@ class CohomologyBasis:
 
 @cached
 def cohomology_basis(k: int, n: int, q: int) -> CohomologyBasis:
-    """Representatives: the kernel vectors that enlarge the span of the
-    image, taken greedily in kernel order.  Kernel vector f enlarges it
-    exactly when no vector of the image has highest free-column bit f.
+    """Representatives: the kernel vectors of the slice's cleared pass.
 
-    A cleared column of the slice is such a highest bit, so the kernel
-    pass skips it without changing the choice."""
+    The top bit of each image vector is a free column of d_q.  On the free
+    columns the image has an echelon basis whose leading bits are slice
+    q-1's leading rows, which are the cleared columns.  So the unit vector
+    of every uncleared free column enlarges the span of the image, and each
+    kernel vector, whose highest bit is its free column, is kept."""
     if q < 1:
         raise ValueError("cohomology lives in lengths >= 1")
     dim = cohomology_dim(k, n, q)  # raises unless the image lies in the kernel
     sl = graded_slice(k, n, q)
-    kernel = sl.delta.kernel_basis(sl.cleared)
+    rep_vecs = sl.delta.kernel_basis(sl.cleared)
     # the image of the incoming coboundary: the pivot columns of slice q-1
     image_vecs = graded_slice(k, n, q - 1).image_basis() if q > 1 else []
     free = ((1 << sl.dim) - 1) ^ sl.pivots
     span = Gf2Span(w & free for w in image_vecs)
-    rep_vecs = []
-    for v in kernel:
-        if span.add(1 << (v.bit_length() - 1), 1 << len(rep_vecs)):
-            rep_vecs.append(v)
+    for j, v in enumerate(rep_vecs):
+        if not span.add(1 << (v.bit_length() - 1), 1 << j):
+            raise ValueError(f"kernel vector {j} dependent modulo the image at (k={k}, n={n}, q={q})")
     if len(rep_vecs) != dim:
         raise ValueError(f"representatives disagree with the ranks at (k={k}, n={n}, q={q})")
     return CohomologyBasis(k, n, q, rep_vecs, image_vecs, sl, free, span)
@@ -262,146 +245,3 @@ def central_extension_basis(n: int) -> list[tuple[str, Cochain]]:
             v = v + wedge(generator(half - 2 * r - 1), generator(half + 2 * r + 1))
         out.append(("v", v))
     return out
-
-
-# ---------------------------------------------------------------------------
-# theorem checks
-
-
-def check_cocycle_family_basis(n: int) -> CheckResult:
-    """The corrected wedges over the indexing partitions of degree n are
-    nonzero closed cochains whose classes form a basis in every length."""
-    res = CheckResult(f"cocycle family basis, n={n}")
-    by_q: dict[int, list[Cochain]] = defaultdict(list)
-    for base in cohomology_partitions(n, 1):
-        for mp in marked_subsets(base, 1):
-            eps = corrected_wedge(mp)
-            res.count()
-            if not eps:
-                res.fail(f"{mp}: corrected wedge is zero")
-                continue
-            if coboundary(eps, 1):
-                res.fail(f"{mp}: corrected wedge is not closed")
-                continue
-            by_q[mp.length].append(eps)
-    for q in sorted(set(by_q) | set(range(1, max_length(1, n) + 1))):
-        fam = by_q.get(q, [])
-        basis = cohomology_basis(1, n, q)
-        res.count()
-        if len(fam) != basis.dim:
-            res.fail(f"n={n} q={q}: family size {len(fam)} != dim {basis.dim}")
-            continue
-        span = Gf2Span(basis.image_vecs)
-        for eps in fam:
-            if not span.add(basis.slice.coords(eps)):
-                res.fail(f"n={n} q={q}: family dependent modulo coboundaries")
-                break
-    return res
-
-
-def check_low_index_dims(n: int, k: int) -> CheckResult:
-    res = CheckResult(f"low-index dims, k={k}, n={n}")
-    for q in range(1, max_length(k, n) + 1):
-        res.count()
-        got = cohomology_dim(k, n, q)
-        want = predicted_low_index_dim(n, q, k)
-        if got != want:
-            res.fail(f"k={k} n={n} q={q}: computed {got}, predicted {want}")
-    return res
-
-
-def check_central_extensions(n: int) -> CheckResult:
-    res = CheckResult(f"central extensions, n={n}")
-    family = central_extension_basis(n)
-    expected = n // 4 + 1
-    res.count()
-    if len(family) != expected:
-        res.fail(f"n={n}: {len(family)} cocycles, expected {expected}")
-    basis = cohomology_basis(-1, n, 2)
-    res.count()
-    if basis.dim != expected:
-        res.fail(f"n={n}: dim H^2 = {basis.dim}, expected {expected}")
-    span = Gf2Span(basis.image_vecs)
-    for label, c in family:
-        res.count()
-        if coboundary(c, -1):
-            res.fail(f"n={n} {label}: not closed at minimal index -1")
-            continue
-        if not span.add(basis.slice.coords(c)):
-            res.fail(f"n={n} {label}: dependent modulo coboundaries")
-    return res
-
-
-def check_action_identities(a: int) -> CheckResult:
-    """The index-raising action of the degree -1 generator on the length-2
-    cocycle families lands on explicit coboundaries; even generators die.
-
-    The marked potential needs all tail terms sum_s e_{a-2s} ^ e_{a+3+2s};
-    its first term alone only suffices for a <= 3.
-    """
-    if a < 1 or a % 2 == 0:
-        raise ValueError("needs odd a >= 1")
-    res = CheckResult(f"action identities, a={a}")
-    res.count()
-    if generator_action(-1, pair_cocycle(a), 1) != coboundary(generator(2 * a + 3), 1):
-        res.fail(f"a={a}: action on the plain pair sum is not the expected coboundary")
-    res.count()
-    potential = Cochain.zero()
-    for s in range((a - 1) // 2 + 1):
-        potential = potential + wedge(generator(a - 2 * s), generator(a + 3 + 2 * s))
-    if generator_action(-1, pair_cocycle(a, marked=True), 1) != coboundary(potential, 1):
-        res.fail(f"a={a}: action on the marked pair sum is not the expected coboundary")
-    for i in range(2, 2 * a + 3, 2):
-        res.count()
-        if generator_action(-1, generator(i), 1):
-            res.fail(f"even generator {i}: action should vanish")
-    return res
-
-
-def _block_total_homology(base: Partition) -> tuple[int, list[str]]:
-    """Total homology dimension of the span of one base's corrected wedges.
-
-    Levels are mark counts; also reports any coboundary escaping the block.
-    """
-    problems: list[str] = []
-    n = base.degree
-    leads = leading_parts(base, 1)
-    prev_rank = 0
-    total = 0
-    for r in range(len(leads) + 1):
-        q = base.length + r
-        sl = graded_slice(1, n, q)
-        shapes = [MarkedPartition(base, m) for m in combinations(leads, r)]
-        vecs = [sl.coords(corrected_wedge(mp)) for mp in shapes]
-        next_span = Gf2Span()
-        if r < len(leads):
-            next_sl = graded_slice(1, n, q + 1)
-            for m2 in combinations(leads, r + 1):
-                next_span.add(next_sl.coords(corrected_wedge(MarkedPartition(base, m2))))
-        image = Gf2Span()
-        for mp, v in zip(shapes, vecs):
-            dv = sl.delta.mul_vec(v)
-            if dv and dv not in next_span:
-                problems.append(f"{mp}: coboundary leaves its block")
-            image.add(dv)
-        total += len(vecs) - image.rank - prev_rank
-        prev_rank = image.rank
-    if prev_rank:
-        problems.append(f"{base}: fully marked level is not closed")
-    return total, problems
-
-
-def check_tensor_blocks(base: Partition) -> CheckResult:
-    """Each regular base spans a subcomplex whose homology dimension is the
-    product over its simple components."""
-    res = CheckResult(f"tensor block {base}")
-    total, problems = _block_total_homology(base)
-    for p in problems:
-        res.fail(p)
-    expected = 1
-    for comp in canonical_decomposition(base, 1):
-        expected *= _block_total_homology(comp)[0]
-    res.count()
-    if total != expected:
-        res.fail(f"{base}: block homology {total} != component product {expected}")
-    return res

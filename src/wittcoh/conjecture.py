@@ -8,14 +8,16 @@ generated by
 
     E^X_1,   E^Y_1,   sum_{a<i} X_{2a+1}^Y_{i-a},   sum_{a<i} Y_{i-a}^Y_{i+a+1}.
 
-Two independent reductions are checked per bidegree and never asserted:
+This module computes two independent reductions per bidegree and asserts
+neither:
 
 * Hilbert: dim of the quotient equals the brute-force cohomology dimension;
 * counting: the strict/regular pair count equals the count of marked regular
   partitions with all simple components of even degree.
 
 Mismatches are findings, not failures; only disagreement *between* the two
-reductions is an internal error.
+reductions is an internal error.  The conjecture suite in ``verify`` reads
+both, and checks that the projection kills the ideal's generators.
 """
 
 from __future__ import annotations
@@ -23,16 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .caching import cached
-from .cochains import Cochain, wedge
-from .cohomology import class_of, cohomology_dim
+from .cohomology import cohomology_dim
 from .gf2 import Gf2Span
-from .monomials import e_cocycle, x_cocycle, y_cocycle
 from .partitions import (
     ascending_tuples,
     even_component_marked,
     strict_regular_pairs,
 )
-from .report import CheckResult
 
 
 @dataclass(frozen=True)
@@ -199,37 +198,3 @@ def scan(n_max: int) -> ConjectureReport:
             hilbert.append(hilbert_cell(q, n))
             counting.append(counting_cell(q, n))
     return ConjectureReport(n_max, hilbert, counting)
-
-
-def check_projection_kills_relations(i_max: int) -> CheckResult:
-    """Each ideal generator maps to the zero class under E -> e, X_i -> x_i,
-    Y_i -> y_i, so the projection factors through the quotient.
-
-    Both families are cut at the degree the X-family reaches at i_max.
-    """
-    res = CheckResult(f"projection kills relations, i <= {i_max}")
-    if i_max < 1:
-        return res
-    res.count()
-    if not class_of(wedge(e_cocycle(), x_cocycle(1)), 1, n=3, q=2).is_zero:
-        res.fail("E^X1 image is a nonzero class")
-    res.count()
-    if not class_of(wedge(e_cocycle(), y_cocycle(1)), 1, n=5, q=3).is_zero:
-        res.fail("E^Y1 image is a nonzero class")
-    degree_cap = 4 * i_max + 2
-    for i in range(1, i_max + 1):
-        res.count()
-        acc = Cochain.zero()
-        for a in range(i):
-            acc = acc + wedge(x_cocycle(2 * a + 1), y_cocycle(i - a))
-        if not class_of(acc, 1, n=4 * i + 2, q=3).is_zero:
-            res.fail(f"G{i} image is a nonzero class")
-        if 8 * i + 4 > degree_cap:
-            continue
-        res.count()
-        acc = Cochain.zero()
-        for a in range(i):
-            acc = acc + wedge(y_cocycle(i - a), y_cocycle(i + a + 1))
-        if acc and not class_of(acc).is_zero:
-            res.fail(f"H{i} image is a nonzero class")
-    return res

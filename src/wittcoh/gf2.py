@@ -131,7 +131,8 @@ class BitMatrix:
     def echelon(self, cleared: int = 0) -> tuple[int, int]:
         """The pivot columns (those independent of the ones before them) and
         the leading rows, as bitmasks, from one untagged pass in order."""
-        return self._eliminate(cleared, tagged=False)[:2]
+        span, pivots, _ = self._eliminate(cleared, tagged=False)
+        return pivots, sum(1 << top for top in span._pivots)
 
     def kernel_basis(self, cleared: int = 0) -> list[int]:
         """Basis of the right null space, one vector per uncleared free column.
@@ -144,8 +145,8 @@ class BitMatrix:
         """
         return self._eliminate(cleared, tagged=True)[2]
 
-    def _eliminate(self, cleared: int, tagged: bool) -> tuple[int, int, list[int]]:
-        """Pivot columns, leading rows and (tagged) kernel vectors of one
+    def _eliminate(self, cleared: int, tagged: bool) -> tuple["Gf2Span", int, list[int]]:
+        """The span, pivot columns and (tagged) kernel vectors of one
         in-order pass that skips the cleared columns."""
         if cleared >> self.ncols:
             raise ValueError("cleared mask has bits outside the column range")
@@ -162,7 +163,7 @@ class BitMatrix:
                 pivots |= 1 << j
             elif tagged:
                 kernel.append(tag)
-        return pivots, sum(1 << top for top in span._pivots), kernel
+        return span, pivots, kernel
 
     def solve(self, target: int) -> int | None:
         """A coefficient vector x with self @ x == target, or None.
@@ -173,20 +174,16 @@ class BitMatrix:
         """
         if target >> self.nrows:
             raise ValueError("target has bits outside the row range")
-        span = Gf2Span()
-        for j, col in enumerate(self._cols):
-            span.add(col, 1 << j)
-        residue, x = span.reduce_tagged(target)
+        residue, x = self._eliminate(0, tagged=True)[0].reduce_tagged(target)
         return None if residue else x
 
     def inverse(self) -> "BitMatrix":
         """Column j of the inverse is the combination of columns that sums to e_j."""
         if self.nrows != self.ncols:
             raise ValueError("only square matrices can be inverted")
-        span = Gf2Span()
-        for j, col in enumerate(self._cols):
-            if not span.add(col, 1 << j):
-                raise ValueError("matrix is singular over GF(2)")
+        span, _, kernel = self._eliminate(0, tagged=True)
+        if kernel:
+            raise ValueError("matrix is singular over GF(2)")
         n = self.nrows
         return BitMatrix._of_columns(n, [span.reduce_tagged(1 << j)[1] for j in range(n)])
 

@@ -70,3 +70,25 @@ def test_criterion_11_conjecture_evidence_to_24():
         print("    finding:", line)
     # evidence findings are reported, not fatal; reduction disagreement is
     assert res.passed, res.failures
+
+
+COMMITTED_CHECK_COUNTS = {
+    "worked example, degree 12": 2,
+    "dimension formula, minimal index 1": 40,
+    "dimension formula, minimal indices 2..4": 84,
+    "marked-wedge basis and triangularity": 5155,
+    "quadratic cochain identities": 147,
+    "corrected-wedge coboundary closed form": 761,
+    "cocycle family bases": 269,
+    "product relations, i <= 8": 49,
+    "minimal indices 0 and -1": 771,
+    "special partition counts": 40,
+    "structural properties": 1843,
+    "tensor blocks": 196,
+    "conjecture evidence": 610,
+}
+
+
+def test_run_suites_check_counts_at_committed_bounds():
+    # a check lost or doubled inside a suite still passes that suite
+    assert {r.name: r.checked for r in verify.run_suites()} == COMMITTED_CHECK_COUNTS

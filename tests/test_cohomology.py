@@ -17,11 +17,6 @@ from wittcoh.cohomology import (
     CohomologyClass,
     NotACocycleError,
     central_extension_basis,
-    check_action_identities,
-    check_central_extensions,
-    check_cocycle_family_basis,
-    check_low_index_dims,
-    check_tensor_blocks,
     class_of,
     cohomology_basis,
     cohomology_dim,
@@ -34,7 +29,12 @@ from wittcoh.cohomology import (
 )
 from wittcoh.gf2 import Gf2Span
 from wittcoh.monomials import decompose, decompose_corrected, x_cocycle, y_cocycle, z_cocycle
-from wittcoh.partitions import max_regular_length, regular_partitions
+from wittcoh.verify import (
+    _block_total_homology,
+    criterion_cocycle_families,
+    criterion_low_min_index,
+    criterion_tensor_blocks,
+)
 
 
 def c(*monos):
@@ -315,9 +315,8 @@ def test_cup_representative_independent():
 
 
 def test_family_basis_check_small():
-    for n in range(1, 17):
-        res = check_cocycle_family_basis(n)
-        assert res.passed, res.failures
+    res = criterion_cocycle_families(16)
+    assert res.passed, res.failures
 
 
 def test_family_basis_count_at_12():
@@ -345,10 +344,8 @@ def test_low_index_worked_values():
 
 
 def test_low_index_checks_pass():
-    for k in (0, -1):
-        for n in range(k, 17):
-            res = check_low_index_dims(n, k)
-            assert res.passed, res.failures
+    res = criterion_low_min_index(16, ext_max=0)
+    assert res.passed, res.failures
 
 
 def test_central_extension_basis_values():
@@ -364,9 +361,8 @@ def test_central_extension_basis_values():
 
 
 def test_central_extension_checks():
-    for n in range(2, 25, 2):
-        res = check_central_extensions(n)
-        assert res.passed, res.failures
+    res = criterion_low_min_index(0, ext_max=24)
+    assert res.passed, res.failures
 
 
 def test_second_cohomology_dim_formula():
@@ -375,9 +371,8 @@ def test_second_cohomology_dim_formula():
 
 
 def test_action_identity_checks():
-    for a in (1, 3, 5, 7):
-        res = check_action_identities(a)
-        assert res.passed, res.failures
+    res = criterion_low_min_index(7, ext_max=0)
+    assert res.passed, res.failures
 
 
 def test_displayed_short_potential_fails_beyond_a3():
@@ -395,17 +390,12 @@ def test_displayed_short_potential_fails_beyond_a3():
 
 
 def test_tensor_block_checks():
-    for n in range(1, 15):
-        for q in range(1, max_regular_length(n, 1) + 1):
-            for base in regular_partitions(n, q, 1):
-                res = check_tensor_blocks(base)
-                assert res.passed, res.failures
+    res = criterion_tensor_blocks(14)
+    assert res.passed, res.failures
 
 
 def test_tensor_block_worked_example():
     # <5,7> is one odd non-special block of even length: homology dim 2
-    from wittcoh.cohomology import _block_total_homology
-
     total, problems = _block_total_homology(P(5, 7))
     assert total == 2 and not problems
     total, problems = _block_total_homology(P(9,))

@@ -3,7 +3,6 @@ from wittcoh import conjecture
 from wittcoh.cohomology import cohomology_dim
 from wittcoh.conjecture import (
     BigradedMonomial,
-    check_projection_kills_relations,
     counting_cell,
     hilbert_cell,
     ideal_rank,
@@ -12,6 +11,7 @@ from wittcoh.conjecture import (
     scan,
 )
 from wittcoh.partitions import ascending_tuples
+from wittcoh.verify import criterion_conjecture
 
 
 def names(ms):
@@ -129,5 +129,5 @@ def test_ideal_rank_bounded_by_ambient():
 
 
 def test_projection_kills_relations():
-    res = check_projection_kills_relations(4)
+    res = criterion_conjecture(16)
     assert res.passed, res.failures
