@@ -10,7 +10,6 @@ from .cochains import (
     generator_action,
     graded_slice,
     max_length,
-    pairing,
     wedge,
 )
 from .cohomology import (
@@ -73,7 +72,6 @@ __all__ = [
     "leading_parts",
     "marked_wedge",
     "max_length",
-    "pairing",
     "poincare_computed",
     "poincare_predicted",
     "predicted_coboundary",

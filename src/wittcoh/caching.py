@@ -2,8 +2,8 @@
 
 Graded slices, basis matrices, and cohomology bases are all deterministic
 functions of small integer keys and are re-read constantly by the verifiers,
-so they are cached without bound.  ``clear_all`` exists for tests that
-deliberately perturb the complex.
+so they are cached without bound.  ``dims`` and ``poincare`` call
+``clear_all`` after each degree.
 """
 
 from __future__ import annotations

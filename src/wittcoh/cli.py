@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: dims, poincare, basis, verify, conjecture, extensions.
-Data goes to stdout; logs and usage errors to stderr.  Exit codes:
-0 success (including conjecture evidence either way), 1 theorem violation or
-internal inconsistency between the conjecture reductions, 2 usage error.
+Data goes to stdout; usage errors and the conjecture-inconsistency message to
+stderr.  Exit codes: 0 success (conjecture evidence either way), 1 theorem
+violation or disagreeing conjecture reductions, 2 usage error.
 """
 
 from __future__ import annotations

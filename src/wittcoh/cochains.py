@@ -159,7 +159,7 @@ def boundary(c: Cochain, k: int = 1) -> Cochain:
     return Cochain(frozenset(acc))
 
 
-def generator_action(r: int, c: Cochain, min_index: int = 1) -> Cochain:
+def generator_action(r: int, c: Cochain) -> Cochain:
     """Action of e_r on cochains: index i_a shifts to i_a - r, coefficient i_a."""
     acc: set[Monomial] = set()
     for mono in c.terms:
@@ -167,17 +167,12 @@ def generator_action(r: int, c: Cochain, min_index: int = 1) -> Cochain:
             if idx % 2 == 0:
                 continue
             shifted = idx - r
-            if shifted < min_index:
-                raise ValueError(f"shifted index {shifted} below the minimal index {min_index}")
+            if shifted < 1:
+                raise ValueError(f"shifted index {shifted} below the minimal index 1")
             rest = mono[:pos] + mono[pos + 1 :]
             if shifted not in rest:
                 acc ^= {tuple(sorted(rest + (shifted,)))}
     return Cochain(frozenset(acc))
-
-
-def pairing(a: Cochain, b: Cochain) -> int:
-    """Orthonormal-basis pairing: parity of the common support."""
-    return len(a.terms & b.terms) & 1
 
 
 def _index_mask(mono: Monomial, k: int) -> int:

@@ -28,12 +28,10 @@ class BitMatrix:
 
     __slots__ = ("nrows", "ncols", "_cols")
 
-    def __init__(self, nrows: int, ncols: int, rows: Sequence[int] | None = None):
+    def __init__(self, nrows: int, ncols: int, rows: Sequence[int]):
         """Build from packed rows: row i is an int whose bit j is entry (i, j)."""
         if nrows < 0 or ncols < 0:
             raise ValueError("matrix dimensions must be non-negative")
-        if rows is None:
-            rows = [0] * nrows
         if len(rows) != nrows:
             raise ValueError(f"expected {nrows} rows, got {len(rows)}")
         if any(r >> ncols for r in rows):
@@ -52,25 +50,6 @@ class BitMatrix:
         return m
 
     @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "BitMatrix":
-        return cls(nrows, ncols)
-
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls._of_columns(n, [1 << i for i in range(n)])
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[Iterable[int]]) -> "BitMatrix":
-        """Build from nested 0/1 entries (row-major)."""
-        packed = []
-        width = 0
-        for row in rows:
-            row = list(row)
-            width = max(width, len(row))
-            packed.append(sum(1 << j for j, v in enumerate(row) if v & 1))
-        return cls(len(packed), width, packed)
-
-    @classmethod
     def from_columns(cls, columns: Sequence[int], nrows: int) -> "BitMatrix":
         if nrows < 0:
             raise ValueError("matrix dimensions must be non-negative")
@@ -81,11 +60,6 @@ class BitMatrix:
     def rows(self) -> list[int]:
         """Every row as a bitmask over the columns (a transpose)."""
         return _transposed(self._cols, self.nrows)
-
-    def column(self, j: int) -> int:
-        if not 0 <= j < self.ncols:
-            raise IndexError(f"column {j} outside 0..{self.ncols - 1}")
-        return self._cols[j]
 
     def columns(self) -> list[int]:
         """Every column as a bitmask over the rows."""
@@ -124,9 +98,6 @@ class BitMatrix:
             out ^= cols[top]
             v ^= 1 << top
         return out
-
-    def rank(self) -> int:
-        return self.echelon()[0].bit_count()
 
     def echelon(self, cleared: int = 0) -> tuple[int, int]:
         """The pivot columns (those independent of the ones before them) and
@@ -218,10 +189,6 @@ class Gf2Span:
         for v in vectors:
             self.add(v)
 
-    def reduce(self, v: int) -> int:
-        """The residue of v modulo the span."""
-        return self.reduce_tagged(v)[0]
-
     def reduce_tagged(self, v: int, tag: int = 0) -> tuple[int, int]:
         """The residue of v modulo the span, and tag XORed with the tags used."""
         pivots, tags = self._pivots, self._tags
@@ -251,7 +218,7 @@ class Gf2Span:
             self._tags[top] = tag
 
     def __contains__(self, v: int) -> bool:
-        return self.reduce(v) == 0
+        return self.reduce_tagged(v)[0] == 0
 
     @property
     def rank(self) -> int:

@@ -237,9 +237,9 @@ def z_cocycle(i: int) -> Cochain:
     return pair_cocycle(2 * i - 1, marked=True)
 
 
-def marked_subsets(base: Partition, k: int = 1) -> list[MarkedPartition]:
+def marked_subsets(base: Partition) -> list[MarkedPartition]:
     """All regular marked partitions over one regular base."""
-    leads = leading_parts(base, k)
+    leads = leading_parts(base, 1)
     out = []
     for r in range(len(leads) + 1):
         for marks in combinations(leads, r):

@@ -301,7 +301,7 @@ def criterion_product_relations(i_max: int = 8) -> CheckResult:
     return res
 
 
-def criterion_low_min_index(n_max: int | None = None, ext_max: int | None = None) -> CheckResult:
+def criterion_low_min_index(n_max: int | None = None) -> CheckResult:
     """Minimal indices 0 and -1: dimension transfer, odd-degree vanishing,
     the explicit second-cohomology basis, and the action identities."""
     res = CheckResult("minimal indices 0 and -1")
@@ -314,7 +314,7 @@ def criterion_low_min_index(n_max: int | None = None, ext_max: int | None = None
                 want = predicted_low_index_dim(n, q, k)
                 if got != want:
                     res.fail(f"k={k} n={n} q={q}: computed {got}, predicted {want}")
-    for n in range(2, _bound(60, ext_max if ext_max is not None else n_max) + 1, 2):
+    for n in range(2, _bound(60, n_max) + 1, 2):
         family = central_extension_basis(n)
         expected = n // 4 + 1
         res.count()
@@ -338,17 +338,17 @@ def criterion_low_min_index(n_max: int | None = None, ext_max: int | None = None
     # its first term alone only suffices for a <= 3.
     for a in range(1, min(15, top) + 1, 2):
         res.count()
-        if generator_action(-1, pair_cocycle(a), 1) != coboundary(generator(2 * a + 3), 1):
+        if generator_action(-1, pair_cocycle(a)) != coboundary(generator(2 * a + 3), 1):
             res.fail(f"a={a}: action on the plain pair sum is not the expected coboundary")
         res.count()
         potential = Cochain.zero()
         for s in range((a - 1) // 2 + 1):
             potential = potential + wedge(generator(a - 2 * s), generator(a + 3 + 2 * s))
-        if generator_action(-1, pair_cocycle(a, marked=True), 1) != coboundary(potential, 1):
+        if generator_action(-1, pair_cocycle(a, marked=True)) != coboundary(potential, 1):
             res.fail(f"a={a}: action on the marked pair sum is not the expected coboundary")
         for i in range(2, 2 * a + 3, 2):
             res.count()
-            if generator_action(-1, generator(i), 1):
+            if generator_action(-1, generator(i)):
                 res.fail(f"even generator {i}: action should vanish")
     return res
 
@@ -374,7 +374,7 @@ def _boundary_matrix(k: int, n: int, q: int) -> BitMatrix:
     return BitMatrix.from_columns(cols, target.dim)
 
 
-def criterion_structural(n_max: int | None = None, trials: int = 100, seed: int = 0) -> CheckResult:
+def criterion_structural(n_max: int | None = None, seed: int = 0) -> CheckResult:
     """Squared differentials vanish, the two differentials are adjoint,
     the degree -1 action is a chain map, and products do not depend on the
     choice of representatives."""
@@ -396,9 +396,7 @@ def criterion_structural(n_max: int | None = None, trials: int = 100, seed: int 
             for mono in graded_slice(1, n, q).basis:
                 res.count()
                 c = Cochain(frozenset({mono}))
-                if generator_action(-1, coboundary(c, 1), 1) != coboundary(
-                    generator_action(-1, c, 1), 1
-                ):
+                if generator_action(-1, coboundary(c, 1)) != coboundary(generator_action(-1, c), 1):
                     res.fail(f"n={n} q={q}: action does not commute with the coboundary")
     rng = random.Random(seed)
     prod_top = min(20, top)
@@ -411,7 +409,7 @@ def criterion_structural(n_max: int | None = None, trials: int = 100, seed: int 
     pairs = [
         (c1, c2) for c1 in cells for c2 in cells if c1[0] + c2[0] <= prod_top
     ]
-    for _ in range(trials if pairs else 0):
+    for _ in range(100 if pairs else 0):
         res.count()
         (n1, q1), (n2, q2) = rng.choice(pairs)
         b1 = cohomology_basis(1, n1, q1)
@@ -489,7 +487,7 @@ def criterion_cocycle_families(n_max: int | None = None) -> CheckResult:
     for n in range(1, _bound(24, n_max) + 1):
         by_q: dict[int, list[Cochain]] = defaultdict(list)
         for base in cohomology_partitions(n, 1):
-            for mp in marked_subsets(base, 1):
+            for mp in marked_subsets(base):
                 eps = corrected_wedge(mp)
                 res.count()
                 if not eps:
@@ -559,27 +557,27 @@ def criterion_conjecture(n_max: int | None = None) -> CheckResult:
 def run_suites(n_max: int | None = None, k_bound: int = 4, seed: int = 0) -> list[CheckResult]:
     """Run every suite at (possibly scaled-down) committed bounds."""
     i_max = 8 if n_max is None else min(8, n_max // 4)
-    suites = [
-        ("worked example", lambda: criterion_worked_example(n_max)),
-        ("dims, minimal index 1", lambda: criterion_dims_min_index_1(n_max)),
-        ("dims, minimal index k", lambda: criterion_dims_min_index_k(n_max, k_bound)),
-        ("wedge basis", lambda: criterion_wedge_basis(n_max)),
-        ("pair identities", lambda: criterion_pair_identities(n_max)),
-        ("corrected coboundary", lambda: criterion_corrected_coboundary(n_max)),
-        ("cocycle families", lambda: criterion_cocycle_families(n_max)),
-        ("product relations", lambda: criterion_product_relations(i_max)),
-        ("low minimal index", lambda: criterion_low_min_index(n_max)),
-        ("special counts", lambda: criterion_special_counts(n_max)),
-        ("structural", lambda: criterion_structural(n_max, seed=seed)),
-        ("tensor blocks", lambda: criterion_tensor_blocks(n_max)),
-        ("conjecture evidence", lambda: criterion_conjecture(n_max)),
-    ]
+    suites = {
+        "worked example, degree 12": lambda: criterion_worked_example(n_max),
+        "dimension formula, minimal index 1": lambda: criterion_dims_min_index_1(n_max),
+        f"dimension formula, minimal indices 2..{k_bound}":
+            lambda: criterion_dims_min_index_k(n_max, k_bound),
+        "marked-wedge basis and triangularity": lambda: criterion_wedge_basis(n_max),
+        "quadratic cochain identities": lambda: criterion_pair_identities(n_max),
+        "corrected-wedge coboundary closed form": lambda: criterion_corrected_coboundary(n_max),
+        "cocycle family bases": lambda: criterion_cocycle_families(n_max),
+        f"product relations, i <= {i_max}": lambda: criterion_product_relations(i_max),
+        "minimal indices 0 and -1": lambda: criterion_low_min_index(n_max),
+        "special partition counts": lambda: criterion_special_counts(n_max),
+        "structural properties": lambda: criterion_structural(n_max, seed=seed),
+        "tensor blocks": lambda: criterion_tensor_blocks(n_max),
+        "conjecture evidence": lambda: criterion_conjecture(n_max),
+    }
     results = []
-    for name, suite in suites:
+    for name, suite in suites.items():
         try:
             results.append(suite())
         except Exception as exc:  # a corrupted complex raises deep inside a suite
-            broken = CheckResult(name)
-            broken.fail(f"aborted: {type(exc).__name__}: {exc}")
-            results.append(broken)
+            results.append(CheckResult(name))
+            results[-1].fail(f"aborted: {type(exc).__name__}: {exc}")
     return results

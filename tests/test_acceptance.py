@@ -6,6 +6,7 @@ contract; the same checks back the `wittcoh verify` command.
 """
 
 from wittcoh import verify
+from wittcoh.cochains import corrupted_generator
 
 
 def _run(result):
@@ -48,7 +49,7 @@ def test_criterion_07_product_relations_to_8():
 
 
 def test_criterion_08_low_minimal_indices():
-    _run(verify.criterion_low_min_index(30, ext_max=60))
+    _run(verify.criterion_low_min_index())
 
 
 def test_criterion_09_special_partition_counts():
@@ -56,7 +57,7 @@ def test_criterion_09_special_partition_counts():
 
 
 def test_criterion_10_structural_properties():
-    _run(verify.criterion_structural(30, trials=100, seed=0))
+    _run(verify.criterion_structural(30, seed=0))
 
 
 def test_criterion_10b_tensor_blocks_to_20():
@@ -92,3 +93,11 @@ COMMITTED_CHECK_COUNTS = {
 def test_run_suites_check_counts_at_committed_bounds():
     # a check lost or doubled inside a suite still passes that suite
     assert {r.name: r.checked for r in verify.run_suites()} == COMMITTED_CHECK_COUNTS
+
+
+def test_an_aborted_suite_reports_under_its_own_name():
+    clean = [r.name for r in verify.run_suites(12, k_bound=2)]
+    with corrupted_generator(9):
+        corrupted = verify.run_suites(12, k_bound=2)
+    assert any(f.startswith("aborted:") for r in corrupted for f in r.failures)
+    assert [r.name for r in corrupted] == clean

@@ -344,7 +344,7 @@ def test_low_index_worked_values():
 
 
 def test_low_index_checks_pass():
-    res = criterion_low_min_index(16, ext_max=0)
+    res = criterion_low_min_index(16)
     assert res.passed, res.failures
 
 
@@ -361,7 +361,7 @@ def test_central_extension_basis_values():
 
 
 def test_central_extension_checks():
-    res = criterion_low_min_index(0, ext_max=24)
+    res = criterion_low_min_index(24)
     assert res.passed, res.failures
 
 
@@ -371,7 +371,7 @@ def test_second_cohomology_dim_formula():
 
 
 def test_action_identity_checks():
-    res = criterion_low_min_index(7, ext_max=0)
+    res = criterion_low_min_index(7)
     assert res.passed, res.failures
 
 
@@ -380,7 +380,7 @@ def test_displayed_short_potential_fails_beyond_a3():
     from wittcoh.cochains import generator_action
     from wittcoh.monomials import pair_cocycle
 
-    lhs = generator_action(-1, pair_cocycle(5, marked=True), 1)
+    lhs = generator_action(-1, pair_cocycle(5, marked=True))
     short = coboundary(wedge(generator(5), generator(8)), 1)
     assert lhs != short
     assert lhs == short + coboundary(wedge(generator(3), generator(10)), 1)

@@ -153,7 +153,6 @@ def test_column_storage_matches_row_major_reference(shape, data):
     nrows, ncols, rows = shape
     m = BitMatrix(nrows, ncols, rows)
     assert m.rows() == rows
-    assert [m.column(j) for j in range(ncols)] == ref_transpose(rows, ncols)
     assert m.columns() == ref_transpose(rows, ncols)
     assert BitMatrix.from_columns(m.columns(), nrows) == m
     assert m.is_zero() == (not any(rows))
@@ -167,9 +166,6 @@ def test_column_storage_matches_row_major_reference(shape, data):
     prod = m @ BitMatrix(ncols, other_ncols, other_rows)
     assert (prod.nrows, prod.ncols) == (nrows, other_ncols)
     assert prod.rows() == ref_matmul(rows, other_rows)
-    if nrows:
-        nested = [[(r >> j) & 1 for j in range(ncols)] for r in rows]
-        assert BitMatrix.from_rows(nested) == m
 
 
 @settings(max_examples=300, deadline=None)
@@ -199,6 +195,14 @@ def test_inverse_matches_rref_oracle(m):
         assert m.inverse() == want
 
 
+def rank(m):
+    return m.echelon()[0].bit_count()
+
+
+def identity(n):
+    return BitMatrix.from_columns([1 << i for i in range(n)], n)
+
+
 def rank_of_packed(rows, ncols):
     return naive_rank([[(r >> j) & 1 for j in range(ncols)] for r in rows])
 
@@ -220,13 +224,12 @@ def test_clearing_free_columns_changes_only_their_kernel_vectors(m, data):
     assert pivots == ((1 << m.ncols) - 1) ^ free
     cleared = data.draw(st.integers(0, (1 << m.ncols) - 1)) & free
     assert m.echelon(cleared) == (pivots, leads) == m.echelon()
-    assert m.rank() == pivots.bit_count()
     kept = [v for v in rref_kernel(m) if not (cleared >> (v.bit_length() - 1)) & 1]
     assert m.kernel_basis(cleared) == kept
 
 
 def test_cleared_mask_outside_the_columns_rejected():
-    m = BitMatrix.zeros(2, 3)
+    m = BitMatrix(2, 3, [0, 0])
     for bad in (0b1000, 0b1001):
         with pytest.raises(ValueError, match="cleared"):
             m.kernel_basis(bad)
@@ -243,38 +246,38 @@ def test_slice_kernels_match_rref_oracle():
 
 
 def test_rank_identity():
-    assert BitMatrix.identity(3).rank() == 3
+    assert rank(identity(3)) == 3
 
 
 def test_rank_zero():
-    assert BitMatrix.zeros(4, 7).rank() == 0
+    assert rank(BitMatrix(4, 7, [0] * 4)) == 0
 
 
 def test_rank_equal_rows():
-    assert BitMatrix.from_rows([[1, 1], [1, 1]]).rank() == 1
+    assert rank(BitMatrix(2, 2, [0b11, 0b11])) == 1
 
 
 def test_kernel_identity_empty():
-    assert BitMatrix.identity(3).kernel_basis() == []
+    assert identity(3).kernel_basis() == []
 
 
 def test_kernel_zero_matrix_full():
-    basis = BitMatrix.zeros(2, 3).kernel_basis()
+    basis = BitMatrix(2, 3, [0, 0]).kernel_basis()
     assert len(basis) == 3
 
 
 def test_kernel_sum_vector():
-    basis = BitMatrix.from_rows([[1, 1]]).kernel_basis()
+    basis = BitMatrix(1, 2, [0b11]).kernel_basis()
     assert basis == [0b11]
 
 
 def test_solve_identity():
-    m = BitMatrix.identity(3)
+    m = identity(3)
     assert m.solve(0b100) == 0b100
 
 
 def test_solve_absent():
-    assert BitMatrix.zeros(2, 2).solve(0b01) is None
+    assert BitMatrix(2, 2, [0, 0]).solve(0b01) is None
 
 
 def test_solve_certificate_remultiplies():
@@ -294,14 +297,15 @@ def test_rank_matches_naive_oracle():
     for _ in range(30):
         nrows, ncols = rng.randint(1, 64), rng.randint(1, 64)
         rows = [[rng.randint(0, 1) for _ in range(ncols)] for _ in range(nrows)]
-        assert BitMatrix.from_rows(rows).rank() == naive_rank(rows)
+        packed = [sum(v << j for j, v in enumerate(row)) for row in rows]
+        assert rank(BitMatrix(nrows, ncols, packed)) == naive_rank(rows)
 
 
 def test_rank_equals_transpose_rank():
     rng = random.Random(13)
     for size in (64, 200, 512):
         m = BitMatrix(size, size, [rng.getrandbits(size) for _ in range(size)])
-        assert m.rank() == m.transpose().rank()
+        assert rank(m) == rank(m.transpose())
 
 
 def test_kernel_vectors_annihilate_and_are_independent():
@@ -310,7 +314,7 @@ def test_kernel_vectors_annihilate_and_are_independent():
         nrows, ncols = rng.randint(1, 20), rng.randint(1, 20)
         m = BitMatrix(nrows, ncols, [rng.getrandbits(ncols) for _ in range(nrows)])
         basis = m.kernel_basis()
-        assert len(basis) == ncols - m.rank()
+        assert len(basis) == ncols - rank(m)
         span = Gf2Span()
         for v in basis:
             assert m.mul_vec(v) == 0
@@ -323,15 +327,15 @@ def test_inverse_roundtrip():
     while built < 10:
         n = rng.randint(1, 24)
         m = BitMatrix(n, n, [rng.getrandbits(n) for _ in range(n)])
-        if m.rank() < n:
+        if rank(m) < n:
             continue
         built += 1
-        assert m @ m.inverse() == BitMatrix.identity(n)
+        assert m @ m.inverse() == identity(n)
 
 
 def test_inverse_singular_raises():
     with pytest.raises(ValueError):
-        BitMatrix.from_rows([[1, 1], [1, 1]]).inverse()
+        BitMatrix(2, 2, [0b11, 0b11]).inverse()
 
 
 def test_matmul_agrees_with_mul_vec():
@@ -340,13 +344,13 @@ def test_matmul_agrees_with_mul_vec():
     b = BitMatrix(7, 4, [rng.getrandbits(4) for _ in range(7)])
     prod = a @ b
     for j in range(4):
-        assert prod.column(j) == a.mul_vec(b.column(j))
+        assert prod.columns()[j] == a.mul_vec(b.columns()[j])
 
 
 def test_from_columns_transpose():
     cols = [0b101, 0b011]
     m = BitMatrix.from_columns(cols, 3)
-    assert m.column(0) == 0b101 and m.column(1) == 0b011
+    assert m.columns() == cols
     assert m.transpose().rows() == cols
 
 
@@ -360,8 +364,8 @@ def test_span_membership():
     assert 0b101 in span
     assert 0b100 not in span
     assert span.rank == 2
-    assert span.reduce(0b101) == 0
-    assert span.reduce(0b111) == 0b001
+    assert span.reduce_tagged(0b101)[0] == 0
+    assert span.reduce_tagged(0b111)[0] == 0b001
 
 
 def test_span_tags_record_the_inputs_used():

@@ -6,6 +6,7 @@ import wittcoh
 from conftest import M, P
 from wittcoh import conjecture, monomials
 from wittcoh.cochains import Cochain, coboundary, corrupted_generator, generator, max_length, wedge
+from wittcoh.gf2 import BitMatrix
 from wittcoh.monomials import (
     corrected_basis,
     corrected_wedge,
@@ -112,7 +113,8 @@ def test_regular_basis_shapes():
         for n, q, size in ((5, 2, 2), (4, 2, 1), (12, 3, 7)):
             rb = build(n, q)
             assert rb.matrix.nrows == rb.matrix.ncols == size
-            assert rb.matrix @ rb.inverse == type(rb.matrix).identity(size)
+            identity = BitMatrix.from_columns([1 << i for i in range(size)], size)
+            assert rb.matrix @ rb.inverse == identity
 
 
 def test_decompose_gap_one_pair():
