@@ -170,22 +170,25 @@ def cmd_verify(args: argparse.Namespace, stdout, stderr) -> int:
 def cmd_conjecture(args: argparse.Namespace, stdout, stderr) -> int:
     report = scan(args.n_max)
     findings = report.findings()
+    hilbert = sum(1 for c in report.hilbert_cells if not c.equal)
+    counting = sum(1 for c in report.counting_cells if not c.equal)
+    consistent = hilbert == counting == 0
     rows = [
-        ["hilbert", len(report.hilbert_cells), sum(1 for c in report.hilbert_cells if not c.equal)],
-        ["counting", len(report.counting_cells), sum(1 for c in report.counting_cells if not c.equal)],
+        ["hilbert", len(report.hilbert_cells), hilbert],
+        ["counting", len(report.counting_cells), counting],
     ]
     payload = {
         "n_max": args.n_max,
-        "hilbert": {"cells": len(report.hilbert_cells), "mismatches": rows[0][2]},
-        "counting": {"cells": len(report.counting_cells), "mismatches": rows[1][2]},
+        "hilbert": {"cells": len(report.hilbert_cells), "mismatches": hilbert},
+        "counting": {"cells": len(report.counting_cells), "mismatches": counting},
         "findings": findings,
-        "consistent": report.hilbert_ok and report.counting_ok,
+        "consistent": consistent,
     }
     _emit_rows(args, stdout, ["reduction", "cells", "mismatches"], rows, payload)
-    if args.format != "json":
+    if args.format == "table":
         for line in findings:
             print(line, file=stdout)
-        if report.hilbert_ok and report.counting_ok:
+        if consistent:
             print(f"conjecture-consistent (n <= {args.n_max})", file=stdout)
         else:
             print("counterexample found", file=stdout)

@@ -60,8 +60,8 @@ class CohomologyBasis:
 
     On the free columns of the block's coboundary, kernel vector f is the
     unit vector e_f, so a cocycle's class is read off its free-column bits.
-    ``span`` holds the free-column bits of the image untagged and the unit
-    vector of each representative's free column tagged with its own bit.
+    ``span`` holds them above ``dim`` tag bits: the image's untagged, and
+    each representative's free column tagged with its own bit.
     """
 
     __slots__ = ("k", "n", "q", "dim", "rep_vecs", "image_vecs", "slice", "free", "span")
@@ -83,7 +83,7 @@ class CohomologyBasis:
 
     def class_coords(self, vec: int) -> tuple[int, ...]:
         """Express a kernel vector modulo the image; unique by construction."""
-        x = self.span.reduce_tagged(vec & self.free)[1]
+        x = self.span.reduce((vec & self.free) << self.dim)
         return tuple((x >> j) & 1 for j in range(self.dim))
 
 
@@ -104,12 +104,12 @@ def cohomology_basis(k: int, n: int, q: int) -> CohomologyBasis:
     # the image of the incoming coboundary: the pivot columns of slice q-1
     image_vecs = graded_slice(k, n, q - 1).image_basis() if q > 1 else []
     free = ((1 << sl.dim) - 1) ^ sl.pivots
-    span = Gf2Span(w & free for w in image_vecs)
-    for j, v in enumerate(rep_vecs):
-        if not span.add(1 << (v.bit_length() - 1), 1 << j):
-            raise ValueError(f"kernel vector {j} dependent modulo the image at (k={k}, n={n}, q={q})")
     if len(rep_vecs) != dim:
         raise ValueError(f"representatives disagree with the ranks at (k={k}, n={n}, q={q})")
+    span = Gf2Span(((w & free) << dim for w in image_vecs), width=dim)
+    for j, v in enumerate(rep_vecs):
+        if not span.add(1 << (v.bit_length() - 1 + dim) | 1 << j):
+            raise ValueError(f"kernel vector {j} dependent modulo the image at (k={k}, n={n}, q={q})")
     return CohomologyBasis(k, n, q, rep_vecs, image_vecs, sl, free, span)
 
 

@@ -162,7 +162,6 @@ def counting_cell(q: int, n: int) -> Cell:
 
 @dataclass
 class ConjectureReport:
-    n_max: int
     hilbert_cells: list[Cell]
     counting_cells: list[Cell]
 
@@ -197,4 +196,4 @@ def scan(n_max: int) -> ConjectureReport:
         for q in range(1, n + 1):
             hilbert.append(hilbert_cell(q, n))
             counting.append(counting_cell(q, n))
-    return ConjectureReport(n_max, hilbert, counting)
+    return ConjectureReport(hilbert, counting)

@@ -6,16 +6,16 @@ is built column by column, one column per basis monomial, so the columns are
 stored as built; rows are produced only on request, by ``rows()`` and by
 ``transpose()``, and the row constructor ``BitMatrix(nrows, ncols, rows)``
 packs its rows into columns once.  Every elimination goes through one
-primitive, the tagged span ``Gf2Span``.  It keeps one reduced vector per
-leading bit, so inserting or reducing a vector costs one whole-int XOR per
-pivot it meets, never a bit test per entry.  Next to each pivot it can keep a
-tag: the set of inputs XORed into it, as a bitmask over their positions.  A
-kernel, a solution or an inverse is then read off the tags of a single pass
-over the columns; the rank and the pivot columns need no tags, and one
-untagged pass (``echelon``) through the same loop gives them and the leading
-rows, the span's leading bits.  Both passes can skip *cleared* columns:
-columns the caller knows to depend on earlier ones, so only their own kernel
-vectors are left out.
+primitive, the span ``Gf2Span``.  It keeps one reduced vector per leading
+bit, so inserting or reducing a vector costs one whole-int XOR per pivot it
+meets, never a bit test per entry.  As in the augmented matrix [A | I], a
+tagged pass enters column j as ``col << width | 1 << j``: the tag bits ride
+along with every XOR, and a residue below ``1 << width`` is a kernel vector.
+A kernel, a solution or an inverse is read off one such pass; the rank and
+the pivot columns need no tags, and one untagged pass (``echelon``) gives
+them and the leading rows.  Both passes can skip *cleared* columns: columns
+the caller knows to depend on earlier ones, so only their own kernel vectors
+are left out.
 """
 
 from __future__ import annotations
@@ -102,38 +102,39 @@ class BitMatrix:
     def echelon(self, cleared: int = 0) -> tuple[int, int]:
         """The pivot columns (those independent of the ones before them) and
         the leading rows, as bitmasks, from one untagged pass in order."""
-        span, pivots, _ = self._eliminate(cleared, tagged=False)
+        span, pivots, _ = self._eliminate(cleared, 0)
         return pivots, sum(1 << top for top in span._pivots)
 
     def kernel_basis(self, cleared: int = 0) -> list[int]:
         """Basis of the right null space, one vector per uncleared free column.
 
         One tagged pass over the columns in order: a column that reduces to
-        zero against the earlier pivot columns yields its tag as a kernel
-        vector.  That tag involves the free column itself and pivot columns
-        only, so it is the vector read off the reduced row echelon form, and
-        its highest bit is its free column.
+        its tag bits alone against the earlier pivot columns yields them as a
+        kernel vector.  That vector involves the free column itself and pivot
+        columns only, so it is the one read off the reduced row echelon form,
+        and its highest bit is its free column.
         """
-        return self._eliminate(cleared, tagged=True)[2]
+        return self._eliminate(cleared, self.ncols)[2]
 
-    def _eliminate(self, cleared: int, tagged: bool) -> tuple["Gf2Span", int, list[int]]:
-        """The span, pivot columns and (tagged) kernel vectors of one
-        in-order pass that skips the cleared columns."""
+    def _eliminate(self, cleared: int, width: int) -> tuple["Gf2Span", int, list[int]]:
+        """The span, pivot columns and kernel vectors of one in-order pass that
+        skips the cleared columns; ``width`` is ncols if tagged, else 0."""
         if cleared >> self.ncols:
             raise ValueError("cleared mask has bits outside the column range")
         skip = bin(cleared)[:1:-1].ljust(self.ncols, "0")  # "1" for a cleared column
-        span = Gf2Span()
+        span = Gf2Span(width=width)
+        limit = 1 << width
         pivots = 0
         kernel = []
         for j, (col, cleared_j) in enumerate(zip(self._cols, skip)):
             if cleared_j == "1":
                 continue
-            residue, tag = span.reduce_tagged(col, 1 << j if tagged else 0)
-            if residue:
-                span.insert(residue, tag)
+            residue = span.reduce(col << width | 1 << j if width else col)
+            if residue >= limit:
+                span.insert(residue)
                 pivots |= 1 << j
-            elif tagged:
-                kernel.append(tag)
+            elif width:
+                kernel.append(residue)
         return span, pivots, kernel
 
     def solve(self, target: int) -> int | None:
@@ -145,18 +146,18 @@ class BitMatrix:
         """
         if target >> self.nrows:
             raise ValueError("target has bits outside the row range")
-        residue, x = self._eliminate(0, tagged=True)[0].reduce_tagged(target)
-        return None if residue else x
+        x = self._eliminate(0, self.ncols)[0].reduce(target << self.ncols)
+        return None if x >> self.ncols else x
 
     def inverse(self) -> "BitMatrix":
         """Column j of the inverse is the combination of columns that sums to e_j."""
         if self.nrows != self.ncols:
             raise ValueError("only square matrices can be inverted")
-        span, _, kernel = self._eliminate(0, tagged=True)
+        n = self.nrows
+        span, _, kernel = self._eliminate(0, n)
         if kernel:
             raise ValueError("matrix is singular over GF(2)")
-        n = self.nrows
-        return BitMatrix._of_columns(n, [span.reduce_tagged(1 << j)[1] for j in range(n)])
+        return BitMatrix._of_columns(n, [span.reduce(1 << (j + n)) for j in range(n)])
 
 
 def _transposed(vectors: Sequence[int], width: int) -> list[int]:
@@ -172,53 +173,49 @@ def _transposed(vectors: Sequence[int], width: int) -> list[int]:
 
 
 class Gf2Span:
-    """Incrementally built span of GF(2) bit vectors, with a tag per pivot.
+    """Incrementally built span of GF(2) bit vectors, tagged in their low
+    ``width`` bits.
 
-    Keeps one reduced vector per leading bit.  A vector inserted with a tag
-    is stored with the tag XORed with the tags of the pivots that reduced
-    it (a zero tag is not stored), so when every input is tagged with its own
-    bit, each pivot's tag says which inputs sum to it, and ``reduce_tagged``
-    says which inputs sum to the part of a vector that the span covers.
+    Keeps one reduced vector per leading bit above the tag bits, so tags
+    ride along with every XOR and never lead.  When each input carries its
+    own tag bit, a residue's tag bits say which inputs sum to the part of
+    the vector that the span covers.
     """
 
-    __slots__ = ("_pivots", "_tags")
+    __slots__ = ("_pivots", "_limit")
 
-    def __init__(self, vectors: Iterable[int] = ()):
+    def __init__(self, vectors: Iterable[int] = (), width: int = 0):
         self._pivots: dict[int, int] = {}
-        self._tags: dict[int, int] = {}
+        self._limit = 1 << width  # the least vector with a bit above the tag
         for v in vectors:
             self.add(v)
 
-    def reduce_tagged(self, v: int, tag: int = 0) -> tuple[int, int]:
-        """The residue of v modulo the span, and tag XORed with the tags used."""
-        pivots, tags = self._pivots, self._tags
+    def reduce(self, v: int) -> int:
+        """The residue of v modulo the span, tag bits included."""
+        pivots = self._pivots
         while v:
             top = v.bit_length() - 1
             basis = pivots.get(top)
             if basis is None:
                 break
             v ^= basis
-            tag ^= tags.get(top, 0)
-        return v, tag
+        return v
 
-    def add(self, v: int, tag: int = 0) -> bool:
-        """Insert v with its tag; True if it enlarged the span."""
-        v, tag = self.reduce_tagged(v, tag)
-        if v == 0:
+    def add(self, v: int) -> bool:
+        """Insert v; True if it enlarged the span."""
+        v = self.reduce(v)
+        if v < self._limit:
             return False
-        self.insert(v, tag)
+        self.insert(v)
         return True
 
-    def insert(self, residue: int, tag: int = 0) -> None:
-        """Store a nonzero vector that ``reduce_tagged`` already reduced
-        modulo the span, with the tag it returned, without reducing again."""
-        top = residue.bit_length() - 1
-        self._pivots[top] = residue
-        if tag:
-            self._tags[top] = tag
+    def insert(self, residue: int) -> None:
+        """Store a vector that ``reduce`` already reduced modulo the span, with
+        bits above the tag, without reducing again."""
+        self._pivots[residue.bit_length() - 1] = residue
 
     def __contains__(self, v: int) -> bool:
-        return self.reduce_tagged(v)[0] == 0
+        return self.reduce(v) < self._limit
 
     @property
     def rank(self) -> int:

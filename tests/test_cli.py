@@ -105,6 +105,14 @@ def test_conjecture_consistent_run():
     assert "conjecture-consistent" in out
 
 
+def test_conjecture_csv_is_only_the_table():
+    code, out, _ = run(["conjecture", "--n-max", "8", "--format", "csv"])
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["reduction", "cells", "mismatches"]
+    assert [len(r) for r in rows[1:]] == [3, 3]
+
+
 def test_verify_tiny_bound_passes():
     code, out, _ = run(["verify", "--n-max", "0"])
     assert code == 0

@@ -364,13 +364,40 @@ def test_span_membership():
     assert 0b101 in span
     assert 0b100 not in span
     assert span.rank == 2
-    assert span.reduce_tagged(0b101)[0] == 0
-    assert span.reduce_tagged(0b111)[0] == 0b001
+    assert span.reduce(0b101) == 0
+    assert span.reduce(0b111) == 0b001
 
 
 def test_span_tags_record_the_inputs_used():
-    span = Gf2Span()
-    span.add(0b011, 0b01)
-    span.add(0b110, 0b10)
-    assert span.reduce_tagged(0b101) == (0, 0b11)
-    assert span.reduce_tagged(0b111, 0b100) == (0b001, 0b110)
+    span = Gf2Span(width=3)
+    assert span.add(0b011 << 3 | 0b001)
+    assert span.add(0b110 << 3 | 0b010)
+    assert span.reduce(0b101 << 3) == 0b011
+    assert span.reduce(0b111 << 3 | 0b100) == 0b001 << 3 | 0b110
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 63), max_size=6), st.integers(0, 3), st.integers(0, 511))
+def test_span_tags_name_inputs_that_sum_to_the_vector(vectors, spare, tags_only):
+    # input i enters above its own tag bit, so tag bits never lead: tag bits
+    # alone are in the span, and every subset sum reduces to tag bits naming
+    # inputs whose XOR is that sum
+    width = len(vectors) + spare
+    span = Gf2Span((v << width | 1 << i for i, v in enumerate(vectors)), width=width)
+    tags_only &= (1 << width) - 1
+    before = span.rank
+    assert tags_only in span
+    assert not span.add(tags_only)
+    assert span.rank == before
+    for subset in range(1 << len(vectors)):
+        total = 0
+        for i, v in enumerate(vectors):
+            if (subset >> i) & 1:
+                total ^= v
+        tag = span.reduce(total << width)
+        assert tag < 1 << width
+        named = 0
+        for i, v in enumerate(vectors):
+            if (tag >> i) & 1:
+                named ^= v
+        assert named == total and tag >> len(vectors) == 0
