@@ -1,9 +1,9 @@
 """Registry for the library's memoized constructions.
 
-Graded slices, basis matrices, and cohomology bases are all deterministic
-functions of small integer keys and are re-read constantly by the verifiers,
-so they are cached without bound.  ``dims`` and ``poincare`` call
-``clear_all`` after each degree.
+Graded slices, monomial lists, dimensions and cohomology bases are
+deterministic functions of small integer keys, re-read constantly by the
+verifiers, so they are cached without bound.  ``dims``, ``poincare`` and
+``basis`` call ``clear_all`` after each degree.
 """
 
 from __future__ import annotations

@@ -41,21 +41,24 @@ def _build_parser() -> argparse.ArgumentParser:
         "format": dict(choices=("table", "json", "csv")),
         "seed": dict(type=int, help="seed for randomized checks"),
     }
-    # Each subcommand takes only the flags it reads, with these defaults.
-    for name, help_text, defaults in (
-        ("dims", "brute-force dimension table of the graded cohomology",
+    # Each subcommand runs its handler and takes only the flags it reads,
+    # with these defaults.
+    for name, run, help_text, defaults in (
+        ("dims", cmd_dims, "brute-force dimension table of the graded cohomology",
          {"k": 1, "n_max": 20, "q_max": None, "format": "table"}),
-        ("poincare", "per-degree dimension polynomials (with the combinatorial prediction for k >= 1)",
+        ("poincare", cmd_poincare,
+         "per-degree dimension polynomials (with the combinatorial prediction for k >= 1)",
          {"k": 1, "n_max": 20, "format": "table"}),
-        ("basis", "cohomology representatives per degree and length",
+        ("basis", cmd_basis, "cohomology representatives per degree and length",
          {"k": 1, "n_max": 20, "q_max": None, "format": "table"}),
-        ("verify", "run every verification suite", {"k": 4, "n_max": None, "seed": 0}),
-        ("conjecture", "evidence scan for the presentation of the index-1 ring",
+        ("verify", cmd_verify, "run every verification suite", {"k": 4, "n_max": None, "seed": 0}),
+        ("conjecture", cmd_conjecture, "evidence scan for the presentation of the index-1 ring",
          {"n_max": 24, "format": "table"}),
-        ("extensions", "closed 2-cochains classifying the central extensions (k = -1)",
+        ("extensions", cmd_extensions, "closed 2-cochains classifying the central extensions (k = -1)",
          {"n_max": 20, "format": "table"}),
     ):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         for dest, default in defaults.items():
             p.add_argument("--" + dest.replace("_", "-"), default=default, **flags[dest])
     return parser
@@ -115,26 +118,19 @@ def cmd_dims(args: argparse.Namespace, stdout, stderr) -> int:
 
 
 def cmd_poincare(args: argparse.Namespace, stdout, stderr) -> int:
-    degrees = [n for n in _degree_range(args)]
-    computed = []
-    for n in degrees:
-        computed.append(poincare_computed(n, args.k))
-        clear_all()  # no later degree reads this one's slices
-    predicted = [poincare_predicted(n, args.k) if args.k >= 1 else None for n in degrees]
     rows = []
-    for n, comp, pred in zip(degrees, computed, predicted):
+    entries = []
+    for n in _degree_range(args):
+        comp = poincare_computed(n, args.k)
+        clear_all()  # no later degree reads this one's slices
+        pred = poincare_predicted(n, args.k) if args.k >= 1 else None
         rows.append([n, poly_str(comp), poly_str(pred) if pred is not None else "-"])
-    payload = {
-        "k": args.k,
-        "rows": [
-            {
-                "n": n,
-                "computed": [[q, c] for q, c in sorted(comp.items())],
-                "predicted": [[q, c] for q, c in sorted(pred.items())] if pred is not None else None,
-            }
-            for n, comp, pred in zip(degrees, computed, predicted)
-        ],
-    }
+        entries.append({
+            "n": n,
+            "computed": [[q, c] for q, c in sorted(comp.items())],
+            "predicted": [[q, c] for q, c in sorted(pred.items())] if pred is not None else None,
+        })
+    payload = {"k": args.k, "rows": entries}
     _emit_rows(args, stdout, ["n", "computed", "predicted"], rows, payload)
     return 0
 
@@ -142,15 +138,17 @@ def cmd_poincare(args: argparse.Namespace, stdout, stderr) -> int:
 def cmd_basis(args: argparse.Namespace, stdout, stderr) -> int:
     rows = []
     entries = []
-    for n, q in ((n, q) for n in _degree_range(args) for q in _lengths(args, n)):
-        basis = cohomology_basis(args.k, n, q)
-        if basis.dim == 0:
-            continue
-        representatives = basis.representatives
-        reps = [[list(mono) for mono in rep.support()] for rep in representatives]
-        entries.append({"n": n, "q": q, "dim": basis.dim, "representatives": reps})
-        pretty = "; ".join(str(rep) for rep in representatives)
-        rows.append([n, q, basis.dim, pretty])
+    for n in _degree_range(args):
+        for q in _lengths(args, n):
+            basis = cohomology_basis(args.k, n, q)
+            if basis.dim == 0:
+                continue
+            representatives = basis.representatives
+            reps = [[list(mono) for mono in rep.support()] for rep in representatives]
+            entries.append({"n": n, "q": q, "dim": basis.dim, "representatives": reps})
+            pretty = "; ".join(str(rep) for rep in representatives)
+            rows.append([n, q, basis.dim, pretty])
+        clear_all()  # no later degree reads this one's slices
     payload = {"k": args.k, "cells": entries}
     _emit_rows(args, stdout, ["n", "q", "dim", "representatives"], rows, payload)
     return 0
@@ -211,16 +209,6 @@ def cmd_extensions(args: argparse.Namespace, stdout, stderr) -> int:
     return 0
 
 
-_COMMANDS = {
-    "dims": cmd_dims,
-    "poincare": cmd_poincare,
-    "basis": cmd_basis,
-    "verify": cmd_verify,
-    "conjecture": cmd_conjecture,
-    "extensions": cmd_extensions,
-}
-
-
 def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
@@ -233,7 +221,7 @@ def main(argv: list[str] | None = None, stdout=None, stderr=None) -> int:
     if problem is not None:
         print(f"error: {problem}", file=stderr)
         return 2
-    return _COMMANDS[args.command](args, stdout, stderr)
+    return args.run(args, stdout, stderr)
 
 
 if __name__ == "__main__":

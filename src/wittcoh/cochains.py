@@ -184,20 +184,21 @@ def _index_mask(mono: Monomial, k: int) -> int:
 
 
 class GradedSlice:
-    """Monomial basis of one (degree, length) block and its coboundary matrix.
+    """Monomial basis of one (degree, length) block, its coboundary matrix,
+    and the matrix's one elimination pass, run on construction.
 
     ``delta`` has one column per basis monomial of this block and one row per
     basis monomial of the (q+1)-block of the same degree, in that block's
-    column order.  Before its one untagged pass a slice checks d_q d_{q-1} = 0
-    on the pivot columns of slice q-1.  If that holds, each leading row t of
-    slice q-1 is the top bit of an image vector r with d_q r = 0, so column t
-    depends on the columns before it, and the pass skips (clears) it.  The
-    pass records the pivot columns and leading rows, so the rank and image
-    are read off without eliminating again.  The position of each monomial,
-    which ``coords`` reads, is indexed on the first call only.
+    column order.  ``closed`` records d_q d_{q-1} = 0 on the pivot columns of
+    slice q-1.  If that holds, each leading row t of slice q-1 is the top bit
+    of an image vector r with d_q r = 0, so column t depends on the columns
+    before it, and the untagged pass skips it (``cleared``).  The pass gives
+    the ``pivots`` (the rest of the columns are free) and the ``leads`` (the
+    leading rows of an echelon basis of the image).  ``coords`` indexes the
+    monomial positions on its first call.
     """
 
-    __slots__ = ("k", "n", "q", "basis", "delta", "_pos", "_pass")
+    __slots__ = ("k", "n", "q", "basis", "delta", "closed", "cleared", "pivots", "leads", "_pos")
 
     def __init__(self, k: int, n: int, q: int, basis: tuple[Monomial, ...], delta: BitMatrix):
         self.k = k
@@ -205,43 +206,17 @@ class GradedSlice:
         self.q = q
         self.basis = basis
         self.delta = delta
+        self.closed, self.cleared = True, 0
+        if q > 1:
+            prev = graded_slice(k, n, q - 1)
+            self.closed = not any(delta.mul_vec(w) for w in prev.image_basis())
+            self.cleared = prev.leads if self.closed else 0
+        self.pivots, self.leads = delta.echelon(self.cleared)
         self._pos: dict[Monomial, int] | None = None
-        self._pass: tuple[bool, int, int, int] | None = None
 
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def _eliminate(self) -> tuple[bool, int, int, int]:
-        """(closed, cleared, pivots, leads), from the check and one pass."""
-        if self._pass is None:
-            closed, cleared = True, 0
-            if self.q > 1:
-                prev = graded_slice(self.k, self.n, self.q - 1)
-                closed = not any(self.delta.mul_vec(w) for w in prev.image_basis())
-                cleared = prev.leads if closed else 0
-            self._pass = (closed, cleared, *self.delta.echelon(cleared))
-        return self._pass
-
-    @property
-    def closed(self) -> bool:
-        """Whether d_q vanishes on the image of d_{q-1}."""
-        return self._eliminate()[0]
-
-    @property
-    def cleared(self) -> int:
-        """The skipped columns: slice q-1's leading rows if closed, else none."""
-        return self._eliminate()[1]
-
-    @property
-    def pivots(self) -> int:
-        """The columns independent of the ones before them; the rest are free."""
-        return self._eliminate()[2]
-
-    @property
-    def leads(self) -> int:
-        """The leading rows of an echelon basis of the image."""
-        return self._eliminate()[3]
 
     @property
     def rank(self) -> int:

@@ -23,7 +23,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .caching import cached
-from .cochains import Cochain, generator, graded_slice, max_length, wedge
+from .cochains import Cochain, GradedSlice, generator, graded_slice, max_length, wedge
 from .gf2 import Gf2Span
 from .partitions import cohomology_partitions, leading_parts
 
@@ -55,27 +55,25 @@ class CohomologyClass:
         )
 
 
+@dataclass(frozen=True, eq=False)
 class CohomologyBasis:
-    """Representatives of one block's cohomology plus solving data.
+    """Representatives of one block's cohomology and the span that reads a
+    cocycle's class.
 
-    On the free columns of the block's coboundary, kernel vector f is the
-    unit vector e_f, so a cocycle's class is read off its free-column bits.
-    ``span`` holds them above ``dim`` tag bits: the image's untagged, and
-    each representative's free column tagged with its own bit.
+    ``span`` is the augmented matrix [A | I] over whole vectors, with ``dim``
+    tag bits: each image vector enters untagged and representative j with
+    tag bit j.  Together they span the kernel, so a cocycle reduces to its
+    tag bits alone, and those are its coordinates.
     """
 
-    __slots__ = ("k", "n", "q", "dim", "rep_vecs", "image_vecs", "slice", "free", "span")
+    slice: GradedSlice
+    rep_vecs: list[int]
+    image_vecs: list[int]
+    span: Gf2Span
 
-    def __init__(self, k, n, q, rep_vecs, image_vecs, slice_, free, span):
-        self.k = k
-        self.n = n
-        self.q = q
-        self.rep_vecs = rep_vecs
-        self.image_vecs = image_vecs
-        self.slice = slice_
-        self.free = free
-        self.span = span
-        self.dim = len(rep_vecs)
+    @property
+    def dim(self) -> int:
+        return len(self.rep_vecs)
 
     @property
     def representatives(self) -> tuple[Cochain, ...]:
@@ -83,7 +81,7 @@ class CohomologyBasis:
 
     def class_coords(self, vec: int) -> tuple[int, ...]:
         """Express a kernel vector modulo the image; unique by construction."""
-        x = self.span.reduce((vec & self.free) << self.dim)
+        x = self.span.reduce(vec << self.dim)
         return tuple((x >> j) & 1 for j in range(self.dim))
 
 
@@ -91,11 +89,10 @@ class CohomologyBasis:
 def cohomology_basis(k: int, n: int, q: int) -> CohomologyBasis:
     """Representatives: the kernel vectors of the slice's cleared pass.
 
-    The top bit of each image vector is a free column of d_q.  On the free
-    columns the image has an echelon basis whose leading bits are slice
-    q-1's leading rows, which are the cleared columns.  So the unit vector
-    of every uncleared free column enlarges the span of the image, and each
-    kernel vector, whose highest bit is its free column, is kept."""
+    In the span the image leads at slice q-1's leading rows, the cleared
+    columns, and each kernel vector's top bit is its own uncleared free
+    column.  So every kernel vector enlarges the span and is kept, and a
+    cocycle's reduction never stops above the tag bits."""
     if q < 1:
         raise ValueError("cohomology lives in lengths >= 1")
     dim = cohomology_dim(k, n, q)  # raises unless the image lies in the kernel
@@ -103,14 +100,13 @@ def cohomology_basis(k: int, n: int, q: int) -> CohomologyBasis:
     rep_vecs = sl.delta.kernel_basis(sl.cleared)
     # the image of the incoming coboundary: the pivot columns of slice q-1
     image_vecs = graded_slice(k, n, q - 1).image_basis() if q > 1 else []
-    free = ((1 << sl.dim) - 1) ^ sl.pivots
     if len(rep_vecs) != dim:
         raise ValueError(f"representatives disagree with the ranks at (k={k}, n={n}, q={q})")
-    span = Gf2Span(((w & free) << dim for w in image_vecs), width=dim)
+    span = Gf2Span((w << dim for w in image_vecs), width=dim)
     for j, v in enumerate(rep_vecs):
-        if not span.add(1 << (v.bit_length() - 1 + dim) | 1 << j):
+        if not span.add(v << dim | 1 << j):
             raise ValueError(f"kernel vector {j} dependent modulo the image at (k={k}, n={n}, q={q})")
-    return CohomologyBasis(k, n, q, rep_vecs, image_vecs, sl, free, span)
+    return CohomologyBasis(sl, rep_vecs, image_vecs, span)
 
 
 @cached

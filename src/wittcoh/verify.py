@@ -135,6 +135,9 @@ def criterion_dims_min_index_1(n_max: int | None = None) -> CheckResult:
 
 def criterion_dims_min_index_k(n_max: int | None = None, k_bound: int = 4) -> CheckResult:
     res = CheckResult(f"dimension formula, minimal indices 2..{k_bound}")
+    if k_bound < 2:
+        res.note("skipped: bound below 2")
+        return res
     for k in range(2, k_bound + 1):
         for n in range(k, _bound(30, n_max) + 1):
             res.count()

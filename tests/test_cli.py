@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from wittcoh import cli
+from wittcoh import caching, cli
 from wittcoh import cochains
 from wittcoh.caching import clear_all
 
@@ -122,6 +122,23 @@ def test_verify_tiny_bound_passes():
 def test_verify_small_bound_passes():
     code, out, _ = run(["verify", "--n-max", "10", "--k", "2"])
     assert code == 0
+
+
+def test_verify_below_k_2_notes_the_skipped_suite():
+    for k in ("1", "0"):
+        code, out, _ = run(["verify", "--n-max", "6", "--k", k])
+        assert code == 0
+        lines = out.splitlines()
+        at = lines.index("PASS  dimension formula, minimal indices 2..1 (0 checks)")
+        assert lines[at + 1] == "    note: skipped: bound below 2"
+
+
+@pytest.mark.parametrize("command", ["dims", "poincare", "basis"])
+def test_per_degree_commands_leave_the_caches_empty(command):
+    clear_all()
+    code, _, _ = run([command, "--k", "1", "--n-max", "14", "--format", "json"])
+    assert code == 0
+    assert all(fn.cache_info().currsize == 0 for fn in caching._CACHED)
 
 
 def test_verify_detects_corrupted_coboundary():
