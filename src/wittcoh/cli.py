@@ -122,8 +122,8 @@ def cmd_poincare(args: argparse.Namespace, stdout, stderr) -> int:
     entries = []
     for n in _degree_range(args):
         comp = poincare_computed(n, args.k)
-        clear_all()  # no later degree reads this one's slices
         pred = poincare_predicted(n, args.k) if args.k >= 1 else None
+        clear_all()  # no later degree reads this one's slices or partitions
         rows.append([n, poly_str(comp), poly_str(pred) if pred is not None else "-"])
         entries.append({
             "n": n,
@@ -143,11 +143,13 @@ def cmd_basis(args: argparse.Namespace, stdout, stderr) -> int:
             basis = cohomology_basis(args.k, n, q)
             if basis.dim == 0:
                 continue
-            representatives = basis.representatives
-            reps = [[list(mono) for mono in rep.support()] for rep in representatives]
-            entries.append({"n": n, "q": q, "dim": basis.dim, "representatives": reps})
-            pretty = "; ".join(str(rep) for rep in representatives)
-            rows.append([n, q, basis.dim, pretty])
+            # each format prints only one of the two renderings
+            if args.format == "json":
+                reps = [[list(mono) for mono in rep.support()] for rep in basis.representatives]
+                entries.append({"n": n, "q": q, "dim": basis.dim, "representatives": reps})
+            else:
+                pretty = "; ".join(str(rep) for rep in basis.representatives)
+                rows.append([n, q, basis.dim, pretty])
         clear_all()  # no later degree reads this one's slices
     payload = {"k": args.k, "cells": entries}
     _emit_rows(args, stdout, ["n", "q", "dim", "representatives"], rows, payload)

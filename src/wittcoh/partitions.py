@@ -25,6 +25,8 @@ import enum
 from dataclasses import dataclass, field
 from itertools import combinations
 
+from .caching import cached
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -159,11 +161,11 @@ def canonical_decomposition(p: Partition, k: int = 1) -> list[Partition]:
 def leading_parts(p: Partition, k: int = 1) -> list[int]:
     """Minimal parts of the odd non-special simple components."""
     _require_regular(p, k)
-    return [
-        c[0]
-        for c in _components(p.parts, k)
-        if not _special_parts(c, k) and all(x % 2 for x in c)
-    ]
+    return _leading(_components(p.parts, k), k)
+
+
+def _leading(comps: list[tuple[int, ...]], k: int) -> list[int]:
+    return [c[0] for c in comps if not _special_parts(c, k) and all(x % 2 for x in c)]
 
 
 def is_regular_marked(mp: MarkedPartition, k: int = 1) -> bool:
@@ -254,20 +256,27 @@ def strict_index_tuples(n: int, q: int, min_index: int) -> list[tuple[int, ...]]
     return ascending_tuples(n, q, min_index, 1)
 
 
+@cached
+def _partitions(n: int, q: int, lowest: int, gap: int) -> tuple[Partition, ...]:
+    """The partitions of n into q parts, the least at least `lowest`, with
+    successive parts at least `gap` apart; memoized per key."""
+    return tuple(Partition(t) for t in ascending_tuples(n, q, lowest, gap))
+
+
 def strict_partitions(n: int, q: int, min_part: int = 1) -> list[Partition]:
     if min_part < 1:
         raise ValueError("strict partitions need a positive minimal part")
-    return [Partition(t) for t in ascending_tuples(n, q, min_part, 1)]
+    return list(_partitions(n, q, min_part, 1))
 
 
 def all_partitions(n: int, q: int) -> list[Partition]:
-    return [Partition(t) for t in ascending_tuples(n, q, 1, 0)]
+    return list(_partitions(n, q, 1, 0))
 
 
 def regular_partitions(n: int, q: int, min_part: int = 1) -> list[Partition]:
     if min_part < 1:
         raise ValueError("regular partitions need a positive minimal part")
-    return [Partition(t) for t in ascending_tuples(n, q, min_part, 2)]
+    return list(_partitions(n, q, min_part, 2))
 
 
 def max_regular_length(n: int, min_part: int) -> int:
@@ -277,25 +286,35 @@ def max_regular_length(n: int, min_part: int) -> int:
     return q
 
 
+@cached
+def _bases_and_leads(n: int, m: int, k: int) -> tuple[tuple[Partition, tuple[int, ...], bool], ...]:
+    """Each regular k-partition of n with m parts, its leading parts, and
+    whether all its simple components have even degree; memoized per key."""
+    out = []
+    for base in _partitions(n, m, k, 2):
+        comps = _components(base.parts, k)
+        out.append((base, tuple(_leading(comps, k)), all(sum(c) % 2 == 0 for c in comps)))
+    return tuple(out)
+
+
+def _marked(n: int, q: int, k: int, even_only: bool) -> list[MarkedPartition]:
+    """Regular marked partitions of degree n and length q, optionally only
+    those over a base whose simple components all have even degree."""
+    out = []
+    # a base of m parts has at most m leading parts, so it needs m >= q/2
+    for m in range((q + 1) // 2, q + 1):
+        for base, leads, even in _bases_and_leads(n, m, k):
+            if even or not even_only:
+                out.extend(MarkedPartition(base, marks) for marks in combinations(leads, q - m))
+    out.sort(key=lambda mp: (mp.base.parts, mp.marks))
+    return out
+
+
 def marked_regular_partitions(n: int, q: int, k: int = 1) -> list[MarkedPartition]:
     """Regular marked partitions of degree n and length (parts + marks) q."""
     if k < 1:
         raise ValueError("marked enumeration needs k >= 1")
-    out = []
-    # a base of m parts has at most m leading parts, so it needs m >= q/2
-    for m in range((q + 1) // 2, q + 1):
-        for base in regular_partitions(n, m, k):
-            need = q - m
-            if need == 0:
-                out.append(MarkedPartition(base, ()))
-                continue
-            leads = leading_parts(base, k)
-            if need > len(leads):
-                continue
-            for marks in combinations(leads, need):
-                out.append(MarkedPartition(base, marks))
-    out.sort(key=lambda mp: (mp.base.parts, mp.marks))
-    return out
+    return _marked(n, q, k, False)
 
 
 def cohomology_partitions(n: int, k: int = 1) -> list[Partition]:
@@ -305,7 +324,7 @@ def cohomology_partitions(n: int, k: int = 1) -> list[Partition]:
         raise ValueError("needs k >= 1")
     out = []
     for q in range(1, max_regular_length(n, k) + 1):
-        for p in regular_partitions(n, q, k):
+        for p in _partitions(n, q, k, 2):
             comps = _components(p.parts, k)
             if all(_special_parts(c, k) or sum(c) % 2 == 0 for c in comps):
                 out.append(p)
@@ -326,10 +345,8 @@ def strict_regular_pairs(n: int, q: int) -> list[tuple[Partition, Partition]]:
             if rem < 0 or rem % 2:
                 continue
             k_deg = rem // 2
-            if a == 0 and k_deg != 0:
-                continue
-            ks = [Partition(())] if a == 0 else strict_partitions(k_deg, a)
-            ls = [Partition(())] if b == 0 else regular_partitions(l_deg, b)
+            ks = _partitions(k_deg, a, 1, 1)
+            ls = _partitions(l_deg, b, 1, 2)
             for K in ks:
                 for L in ls:
                     if all(
@@ -345,11 +362,7 @@ def strict_regular_pairs(n: int, q: int) -> list[tuple[Partition, Partition]]:
 
 def even_component_marked(n: int, q: int) -> list[MarkedPartition]:
     """Regular marked partitions all of whose simple components have even degree."""
-    return [
-        mp
-        for mp in marked_regular_partitions(n, q, 1)
-        if all(sum(c) % 2 == 0 for c in _components(mp.base.parts, 1))
-    ]
+    return _marked(n, q, 1, True)
 
 
 def special_partitions(q: int, k: int) -> list[Partition]:

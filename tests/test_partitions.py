@@ -1,10 +1,13 @@
+import importlib
 import math
 import random
 from itertools import combinations
 
 import pytest
 
+import wittcoh
 from conftest import M, P
+from wittcoh import caching, partitions
 from wittcoh.partitions import (
     MarkedPartition,
     Order,
@@ -355,6 +358,80 @@ def test_even_component_marked_examples():
         ((2, 4, 6), ()),
         ((5, 7), (5,)),
     ]
+
+
+def test_enumerators_return_fresh_lists():
+    for enumerate_ in (
+        lambda: strict_partitions(12, 3),
+        lambda: regular_partitions(12, 2),
+        lambda: marked_regular_partitions(12, 3, 1),
+    ):
+        first = enumerate_()
+        expected = list(first)
+        first.clear()
+        assert enumerate_() == expected
+        assert enumerate_() is not enumerate_()
+
+
+def test_clear_caches_empties_the_partition_memos():
+    marked_regular_partitions(12, 3, 1)
+    strict_regular_pairs(12, 3)
+    memos = (partitions._partitions, partitions._bases_and_leads)
+    assert all(memo.cache_info().currsize for memo in memos)
+    wittcoh.clear_caches()
+    assert not any(memo.cache_info().currsize for memo in memos)
+
+
+def test_memo_names_are_distinct():
+    # perfbench's cache stats key each memo by this name
+    importlib.import_module("wittcoh.cli")  # imports, and so registers, every memo
+    names = [fn.__wrapped__.__name__ for fn in caching._CACHED]
+    assert len(names) == len(set(names)), sorted(names)
+
+
+def reference_strict_regular_pairs(n, q):
+    """The unmemoized pair enumeration, from ascending_tuples."""
+    out = []
+    for b in range(q // 2 + 1):
+        a = q - 2 * b
+        l_degs = [0] if b == 0 else list(range(b * b, n // 4 + 1))
+        for l_deg in l_degs:
+            rem = n - 4 * l_deg
+            if rem < 0 or rem % 2:
+                continue
+            k_deg = rem // 2
+            if a == 0 and k_deg != 0:
+                continue
+            ks = [P()] if a == 0 else [Partition(t) for t in ascending_tuples(k_deg, a, 1, 1)]
+            ls = [P()] if b == 0 else [Partition(t) for t in ascending_tuples(l_deg, b, 1, 2)]
+            for K in ks:
+                for L in ls:
+                    if all(abs(ki - lj) >= 2 for ki in K.parts if ki % 2 == 1 for lj in L.parts):
+                        out.append((K, L))
+    out.sort(key=lambda kl: (kl[0].parts, kl[1].parts))
+    return out
+
+
+def reference_even_component_marked(n, q):
+    """Every regular marked partition of (n, q), from ascending_tuples, kept
+    when all its simple components have even degree."""
+    out = []
+    for m in range(1, q + 1):
+        for t in ascending_tuples(n, m, 1, 2):
+            base = Partition(t)
+            if all(c.degree % 2 == 0 for c in canonical_decomposition(base, 1)):
+                for marks in combinations(leading_parts(base, 1), q - m):
+                    out.append(MarkedPartition(base, marks))
+    out.sort(key=lambda mp: (mp.base.parts, mp.marks))
+    return out
+
+
+def test_counting_enumerators_match_unmemoized_references():
+    wittcoh.clear_caches()
+    for n in range(1, 37):
+        for q in range(1, n + 1):
+            assert strict_regular_pairs(n, q) == reference_strict_regular_pairs(n, q), (n, q)
+            assert even_component_marked(n, q) == reference_even_component_marked(n, q), (n, q)
 
 
 def test_special_counts_match_binomial():
