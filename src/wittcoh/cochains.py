@@ -15,7 +15,8 @@ reduce their integer coefficients mod 2 at insertion time:
 
 The complex splits into finite blocks by degree n (index sum) and length q;
 ``graded_slice`` materializes one block's monomial basis together with the
-matrix of the coboundary into the next block.
+matrix of the coboundary into the next block, and ``wedge_coords`` wedges
+two blocks' vectors in those coordinates.
 """
 
 from __future__ import annotations
@@ -183,6 +184,16 @@ def _index_mask(mono: Monomial, k: int) -> int:
     return m
 
 
+def _at_bits(items: tuple, vec: int) -> list:
+    """The items at the set bits of vec, lowest bit first."""
+    out = []
+    while vec:
+        low = vec & -vec
+        out.append(items[low.bit_length() - 1])
+        vec ^= low
+    return out
+
+
 class GradedSlice:
     """Monomial basis of one (degree, length) block, its coboundary matrix,
     and the matrix's one elimination pass, run on construction.
@@ -240,23 +251,19 @@ class GradedSlice:
         return v
 
     def cochain(self, vec: int) -> Cochain:
-        acc = set()
-        while vec:
-            low = vec & -vec
-            acc.add(self.basis[low.bit_length() - 1])
-            vec ^= low
-        return Cochain(frozenset(acc))
+        return Cochain(frozenset(_at_bits(self.basis, vec)))
 
     def __repr__(self) -> str:
         return f"GradedSlice(k={self.k}, n={self.n}, q={self.q}, dim={self.dim})"
 
 
 @cached
-def _monomials(k: int, n: int, q: int) -> tuple[tuple[Monomial, ...], dict[int, int]]:
-    """The (n, q) monomial basis and the position of each monomial's index
-    mask in it: the basis of slice q and the target of slice q-1."""
+def _monomials(k: int, n: int, q: int) -> tuple[tuple[Monomial, ...], tuple[int, ...], dict[int, int]]:
+    """The (n, q) monomial basis, the index mask of each basis monomial, and
+    each mask's position: the basis of slice q and the target of slice q-1."""
     basis = tuple(strict_index_tuples(n, q, k))
-    return basis, {_index_mask(m, k): i for i, m in enumerate(basis)}
+    masks = tuple(_index_mask(m, k) for m in basis)
+    return basis, masks, {m: i for i, m in enumerate(masks)}
 
 
 @cached
@@ -271,8 +278,8 @@ def graded_slice(k: int, n: int, q: int) -> GradedSlice:
         raise ValueError("minimal index must be >= -1")
     if q < 1:
         raise ValueError("length must be >= 1")
-    basis, pos = _monomials(k, n, q)
-    target, tpos = _monomials(k, n, q + 1)
+    basis, masks, _ = _monomials(k, n, q)
+    target, _, tpos = _monomials(k, n, q + 1)
     top = max((mono[-1] for mono in basis), default=k)
     # odd index i -> (its bit, the mask of each pair that replaces it)
     expand = {}
@@ -281,7 +288,7 @@ def graded_slice(k: int, n: int, q: int) -> GradedSlice:
         if pairs:
             expand[i] = (1 << (i - k), [(1 << (a - k)) | (1 << (b - k)) for a, b in pairs])
     cols = []
-    for mono, mask in zip(basis, pos):  # pos holds the masks in basis order
+    for mono, mask in zip(basis, masks):
         col = 0
         for i in mono:
             e = expand.get(i)
@@ -292,6 +299,25 @@ def graded_slice(k: int, n: int, q: int) -> GradedSlice:
                         col ^= 1 << tpos[rest | ab]
         cols.append(col)
     return GradedSlice(k, n, q, basis, BitMatrix.from_columns(cols, len(target)))
+
+
+def wedge_coords(a: GradedSlice, va: int, b: GradedSlice, vb: int) -> int:
+    """``wedge`` in slice coordinates: the product of vector va of slice a
+    and vector vb of slice b (both of minimal index a.k), as a vector of the
+    (a.n + b.n, a.q + b.q) block.
+
+    Over GF(2) the wedge of two monomials with disjoint index sets is their
+    union, so each disjoint pair of index masks flips one bit, with no sign
+    and no sort."""
+    xs = _at_bits(_monomials(a.k, a.n, a.q)[1], va)
+    ys = _at_bits(_monomials(b.k, b.n, b.q)[1], vb)
+    tpos = _monomials(a.k, a.n + b.n, a.q + b.q)[2]
+    vec = 0
+    for x in xs:
+        for y in ys:
+            if not x & y:
+                vec ^= 1 << tpos[x | y]
+    return vec
 
 
 def max_length(k: int, n: int) -> int:

@@ -4,7 +4,10 @@ Every block (k, n, q) is finite, so kernels and images of the coboundary are
 computed exactly over GF(2).  A dimension needs only the ranks of the two
 coboundaries at the block.  The representatives of a cohomology basis are
 the kernel vectors of the slice's cleared elimination, in the fixed monomial
-order — deterministic by construction.
+order — deterministic by construction.  ``cup`` wedges two representatives
+as vectors of index masks (``cochains.wedge_coords``) and reads the class of
+the product vector the way ``class_of`` reads a cochain's, so the tuple path
+``class_of(wedge(...))`` is an independent check of it.
 
 The module also computes the predictions that the CLI and the ``verify``
 suites compare against:
@@ -23,7 +26,15 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 from .caching import cached
-from .cochains import Cochain, GradedSlice, generator, graded_slice, max_length, wedge
+from .cochains import (
+    Cochain,
+    GradedSlice,
+    generator,
+    graded_slice,
+    max_length,
+    wedge,
+    wedge_coords,
+)
 from .gf2 import Gf2Span
 from .partitions import cohomology_partitions, leading_parts
 
@@ -149,7 +160,8 @@ def class_of(c: Cochain, k: int = 1, n: int | None = None, q: int | None = None)
     return CohomologyClass(k, n, q, basis.class_coords(vec))
 
 
-def representative(cls: CohomologyClass) -> Cochain:
+def _rep_vec(cls: CohomologyClass) -> tuple[CohomologyBasis, int]:
+    """The block's basis and the slice vector of the class's representative."""
     basis = cohomology_basis(cls.k, cls.n, cls.q)
     if len(cls.coords) != basis.dim:
         raise ValueError(f"{len(cls.coords)} coordinates for a block of dimension {basis.dim}")
@@ -157,15 +169,35 @@ def representative(cls: CohomologyClass) -> Cochain:
     for j, bit in enumerate(cls.coords):
         if bit:
             vec ^= basis.rep_vecs[j]
+    return basis, vec
+
+
+def representative(cls: CohomologyClass) -> Cochain:
+    basis, vec = _rep_vec(cls)
     return basis.slice.cochain(vec)
 
 
 def cup(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
-    """Product of classes via the wedge of their representatives."""
+    """Product of classes: the class of the wedge of their representatives.
+
+    The wedge is taken in slice coordinates (``wedge_coords``), so no
+    ``Cochain`` is built; ``class_of(wedge(representative(a),
+    representative(b)))`` is the same product through index tuples.  A
+    product that vanishes as a cochain, or whose block is empty, reads its
+    zero class without building the product block's basis."""
     if a.k != b.k:
         raise ValueError("classes live over different minimal indices")
-    w = wedge(representative(a), representative(b))
-    return class_of(w, a.k, n=a.n + b.n, q=a.q + b.q)
+    (basis_a, va), (basis_b, vb) = _rep_vec(a), _rep_vec(b)
+    k, n, q = a.k, a.n + b.n, a.q + b.q
+    if q > max_length(k, n):
+        return CohomologyClass(k, n, q, ())
+    vec = wedge_coords(basis_a.slice, va, basis_b.slice, vb)
+    if not vec:
+        return CohomologyClass(k, n, q, (0,) * cohomology_dim(k, n, q))
+    basis = cohomology_basis(k, n, q)
+    if basis.slice.delta.mul_vec(vec):
+        raise NotACocycleError(f"the product of {a} and {b} is not closed at minimal index {k}")
+    return CohomologyClass(k, n, q, basis.class_coords(vec))
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 
@@ -221,3 +224,16 @@ def test_json_stdout_bytes_are_pinned(args, md5):
     code, out, _ = run(args + ["--format", "json"])
     assert code == 0
     assert hashlib.md5(out.encode()).hexdigest() == md5
+
+
+def test_python_m_wittcoh_runs_the_cli_from_a_checkout():
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [os.path.join(root, "src"), env.get("PYTHONPATH")]))
+    args = ["dims", "--k", "1", "--n-max", "6", "--format", "json"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "wittcoh", *args], capture_output=True, env=env, cwd=root, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, out, _ = run(args)
+    assert code == 0 and proc.stdout == out.encode()

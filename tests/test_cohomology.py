@@ -311,6 +311,100 @@ def test_cup_representative_independent():
         assert class_of(moved, 1, n=n1 + n2, q=q1 + q2) == cup(cls1, cls2)
 
 
+
+def tuple_cup(a, b):
+    """The product through index tuples: the path ``cup`` skips."""
+    w = wedge(representative(a), representative(b))
+    return class_of(w, a.k, n=a.n + b.n, q=a.q + b.q)
+
+
+def unit_class(k, n, q, j):
+    dim = cohomology_dim(k, n, q)
+    return CohomologyClass(k, n, q, tuple(int(i == j) for i in range(dim)))
+
+
+@pytest.mark.parametrize("k", [-1, 0, 1])
+def test_cup_agrees_with_the_tuple_path(k):
+    # every pair of basis classes and a few seeded sums, in both orders
+    rng = random.Random(15 + k)
+    cells = [
+        (n, q)
+        for n in range(k, 15 - k)
+        for q in range(1, max_length(k, n) + 1)
+        if cohomology_dim(k, n, q)
+    ]
+    above = 0
+    for n1, q1 in cells:
+        for n2, q2 in cells:
+            if n1 + n2 > 14:
+                continue
+            above += q1 + q2 > max_length(k, n1 + n2)
+            d1, d2 = cohomology_dim(k, n1, q1), cohomology_dim(k, n2, q2)
+            pairs = [
+                (unit_class(k, n1, q1, i), unit_class(k, n2, q2, j))
+                for i in range(d1)
+                for j in range(d2)
+            ]
+            for _ in range(3):
+                va, vb = rng.getrandbits(d1) or 1, rng.getrandbits(d2) or 1
+                pairs.append((
+                    CohomologyClass(k, n1, q1, tuple((va >> i) & 1 for i in range(d1))),
+                    CohomologyClass(k, n2, q2, tuple((vb >> j) & 1 for j in range(d2))),
+                ))
+            for a, b in pairs:
+                assert cup(a, b) == tuple_cup(a, b), (a, b)
+    assert above > 0  # products in empty blocks are covered
+
+
+def test_vanishing_cup_builds_no_product_basis():
+    clear_all()
+    e1, e1e6 = unit_class(1, 1, 1, 0), unit_class(1, 7, 2, 0)
+    cohomology_basis(1, 1, 1), cohomology_basis(1, 7, 2)
+    built = cohomology_basis.cache_info().currsize
+    # e1 times e1^e6 vanishes as a cochain in the nonempty (8, 3) block
+    assert cup(e1, e1e6) == CohomologyClass(1, 8, 3, (0,))
+    # e1 ^ e1 would live at (2, 2), where the block is empty
+    assert cup(e1, e1) == CohomologyClass(1, 2, 2, ())
+    assert cohomology_basis.cache_info().currsize == built
+    assert not wedge(representative(e1), representative(e1e6))
+    assert max_length(1, 2) == 1 and cohomology_dim(1, 8, 3) == 1
+
+
+def test_cup_rejects_what_the_tuple_path_rejects():
+    y2 = class_of(y_cocycle(2), 1)
+    for coords in (y2.coords[:-1], y2.coords + (0,)):
+        bad = CohomologyClass(1, 8, 2, coords)
+        for a, b in ((bad, y2), (y2, bad)):
+            with pytest.raises(ValueError, match="coordinates for a block"):
+                cup(a, b)
+    with pytest.raises(ValueError, match="different minimal indices"):
+        cup(y2, unit_class(0, 2, 1, 0))
+
+
+def outcome(product, a, b):
+    """The product, or what it raised: the message of a plain ValueError (the
+    corrupted block or the wrong coordinate count), else the exception type."""
+    try:
+        return product(a, b)
+    except ValueError as exc:
+        return str(exc) if type(exc) is ValueError else type(exc)
+
+
+def test_cup_raises_where_the_tuple_path_raises_on_a_corrupted_complex():
+    cells = [
+        (n, q) for n in range(1, 20) for q in range(1, max_length(1, n) + 1) if cohomology_dim(1, n, q)
+    ]
+    classes = [unit_class(1, n, q, j) for n, q in cells for j in range(cohomology_dim(1, n, q))]
+    pairs = [(a, b) for a in classes for b in classes if a.n + b.n <= 20]
+    with corrupted_generator(9):
+        got = [outcome(cup, a, b) for a, b in pairs]
+        clear_all()
+        want = [outcome(tuple_cup, a, b) for a, b in pairs]
+    assert got == want
+    assert any(isinstance(g, str) for g in got)
+    assert any(isinstance(g, CohomologyClass) and not g.is_zero for g in got)
+
+
 # --- the cocycle families as a basis ------------------------------------------------
 
 
