@@ -6,9 +6,11 @@ says the kernel of the surjection from the free bigraded exterior algebra
 P[E, X, Y] (deg E = (1,1), deg X_i = (1,2i), deg Y_i = (2,4i)) is the ideal
 generated by
 
-    E^X_1,   E^Y_1,   sum_{a<i} X_{2a+1}^Y_{i-a},   sum_{a<i} Y_{i-a}^Y_{i+a+1}.
+    E^X_1,   E^Y_1,   G_i = sum_{a<i} X_{2a+1}^Y_{i-a},   H_i = sum_{a<i} Y_{i-a}^Y_{i+a+1}.
 
-This module computes two independent reductions per bidegree and asserts
+This module is the one place the ideal is written: ``relation_table`` lists
+its generators as sums of words, and ``image`` sends a sum of words to its
+cocycle.  It computes two independent reductions per bidegree and asserts
 neither:
 
 * Hilbert: dim of the quotient equals the brute-force cohomology dimension;
@@ -17,7 +19,7 @@ neither:
 
 Mismatches are findings, not failures; only disagreement *between* the two
 reductions is an internal error.  The conjecture suite in ``verify`` reads
-both, and checks that the projection kills the ideal's generators.
+both, and checks that ``image`` kills the ideal's generators.
 """
 
 from __future__ import annotations
@@ -25,13 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .caching import cached
+from .cochains import Cochain, wedge
 from .cohomology import cohomology_dim
 from .gf2 import Gf2Span
-from .partitions import (
-    ascending_tuples,
-    even_component_marked,
-    strict_regular_pairs,
-)
+from .monomials import e_cocycle, x_cocycle, y_cocycle
+from .partitions import _partitions, even_component_marked, strict_regular_pairs
 
 
 @dataclass(frozen=True)
@@ -71,13 +71,6 @@ def multiply(a: BigradedMonomial, b: BigradedMonomial) -> BigradedMonomial | Non
 
 
 @cached
-def _strict_tuples(total: int, count: int) -> tuple[tuple[int, ...], ...]:
-    """The strictly increasing tuples of `count` positive integers summing to
-    `total`: the X or Y index lists of one word; memoized."""
-    return tuple(ascending_tuples(total, count, 1, 1))
-
-
-@cached
 def _bidegree_words(q: int, n: int) -> tuple[tuple[BigradedMonomial, ...], dict[BigradedMonomial, int]]:
     """The square-free words of bidegree (q, n), sorted, and each word's
     position; memoized per bidegree."""
@@ -90,11 +83,11 @@ def _bidegree_words(q: int, n: int) -> tuple[tuple[BigradedMonomial, ...], dict[
             continue
         for b in range(qq // 2 + 1):
             a = qq - 2 * b
-            for y_deg in range(0, nn // 4 + 1):
-                ys_list = _strict_tuples(y_deg, b)
-                for xs in _strict_tuples((nn - 4 * y_deg) // 2, a):
+            for y_deg in range(b * (b + 1) // 2, nn // 4 + 1):
+                ys_list = _partitions(y_deg, b, 1, 1)
+                for xs in _partitions((nn - 4 * y_deg) // 2, a, 1, 1):
                     for ys in ys_list:
-                        out.append(BigradedMonomial(bool(has_e), xs, ys))
+                        out.append(BigradedMonomial(bool(has_e), xs.parts, ys.parts))
     out.sort(key=lambda m: (m.has_e, m.xs, m.ys))
     return tuple(out), {m: i for i, m in enumerate(out)}
 
@@ -104,8 +97,18 @@ def monomials_in_bidegree(q: int, n: int) -> list[BigradedMonomial]:
     return list(_bidegree_words(q, n)[0])
 
 
+def odd_x_relation(i: int) -> tuple[BigradedMonomial, ...]:
+    """The words of G_i = sum_{a<i} X_{2a+1}^Y_{i-a}, of bidegree (3, 4i+2)."""
+    return tuple(BigradedMonomial(False, (2 * a + 1,), (i - a,)) for a in range(i))
+
+
+def y_relation(i: int) -> tuple[BigradedMonomial, ...]:
+    """The words of H_i = sum_{a<i} Y_{i-a}^Y_{i+a+1}, of bidegree (4, 8i+4)."""
+    return tuple(BigradedMonomial(False, (), (i - a, i + a + 1)) for a in range(i))
+
+
 @cached
-def _relation_table(n_cap: int) -> tuple[tuple[int, int, tuple[BigradedMonomial, ...]], ...]:
+def relation_table(n_cap: int) -> tuple[tuple[int, int, tuple[BigradedMonomial, ...]], ...]:
     """The ideal generators with degree at most n_cap as (q, n, terms), each
     generator the sum of its terms, in the module docstring's order;
     memoized per cap."""
@@ -114,11 +117,20 @@ def _relation_table(n_cap: int) -> tuple[tuple[int, int, tuple[BigradedMonomial,
         gens.append((BigradedMonomial(True, (1,), ()),))
     if n_cap >= 5:
         gens.append((BigradedMonomial(True, (), (1,)),))
-    for i in range(1, (n_cap - 2) // 4 + 1):
-        gens.append(tuple(BigradedMonomial(False, (2 * a + 1,), (i - a,)) for a in range(i)))
-    for i in range(1, (n_cap - 4) // 8 + 1):
-        gens.append(tuple(BigradedMonomial(False, (), (i - a, i + a + 1)) for a in range(i)))
+    gens += [odd_x_relation(i) for i in range(1, (n_cap - 2) // 4 + 1)]
+    gens += [y_relation(i) for i in range(1, (n_cap - 4) // 8 + 1)]
     return tuple((*terms[0].bidegree, terms) for terms in gens)
+
+
+def image(terms: tuple[BigradedMonomial, ...]) -> Cochain:
+    """The cocycle of a sum of words under E -> e, X_i -> x_i, Y_i -> y_i."""
+    out = Cochain.zero()
+    for w in terms:
+        prod = e_cocycle() if w.has_e else Cochain.unit()
+        for factor in [x_cocycle(i) for i in w.xs] + [y_cocycle(i) for i in w.ys]:
+            prod = wedge(prod, factor)
+        out = out + prod
+    return out
 
 
 def ideal_rank(q: int, n: int) -> int:
@@ -126,7 +138,7 @@ def ideal_rank(q: int, n: int) -> int:
     generator-times-monomial products landing there."""
     _, pos = _bidegree_words(q, n)
     span = Gf2Span()
-    for gq, gn, terms in _relation_table(n):
+    for gq, gn, terms in relation_table(n):
         if gq > q:
             continue
         for m in _bidegree_words(q - gq, n - gn)[0]:

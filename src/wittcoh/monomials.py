@@ -21,11 +21,10 @@ component of odd length — nothing else survives.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Callable
 
 from .caching import cached
-from .cochains import Cochain, coboundary, generator, graded_slice, wedge
+from .cochains import Cochain, _at_bits, coboundary, generator, graded_slice, wedge
 from .gf2 import BitMatrix
 from .partitions import (
     MarkedPartition,
@@ -35,7 +34,6 @@ from .partitions import (
     is_odd,
     is_regular_marked,
     is_special,
-    leading_parts,
     marked_regular_partitions,
 )
 
@@ -110,13 +108,7 @@ class WedgeBasis:
 
     def decompose(self, c: Cochain) -> dict[MarkedPartition, int]:
         """The shapes whose wedges sum to c, a cochain of this block."""
-        x = self.inverse.mul_vec(self.slice.coords(c))
-        out = {}
-        while x:
-            low = x & -x
-            out[self.shapes[low.bit_length() - 1]] = 1
-            x ^= low
-        return out
+        return dict.fromkeys(_at_bits(self.shapes, self.inverse.mul_vec(self.slice.coords(c))), 1)
 
 
 @cached
@@ -236,12 +228,3 @@ def z_cocycle(i: int) -> Cochain:
         raise ValueError("needs i >= 2")
     return pair_cocycle(2 * i - 1, marked=True)
 
-
-def marked_subsets(base: Partition) -> list[MarkedPartition]:
-    """All regular marked partitions over one regular base."""
-    leads = leading_parts(base, 1)
-    out = []
-    for r in range(len(leads) + 1):
-        for marks in combinations(leads, r):
-            out.append(MarkedPartition(base, marks))
-    return out

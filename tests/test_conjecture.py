@@ -1,15 +1,22 @@
+from functools import reduce
+
 import wittcoh
 from wittcoh import conjecture
-from wittcoh.cohomology import cohomology_dim
+from wittcoh.cohomology import class_of, cohomology_dim, cup
 from wittcoh.conjecture import (
     BigradedMonomial,
     counting_cell,
     hilbert_cell,
     ideal_rank,
+    image,
     monomials_in_bidegree,
     multiply,
+    odd_x_relation,
+    relation_table,
     scan,
+    y_relation,
 )
+from wittcoh.monomials import e_cocycle, x_cocycle, y_cocycle
 from wittcoh.partitions import ascending_tuples
 from wittcoh.verify import criterion_conjecture
 
@@ -79,6 +86,35 @@ def test_multiply_square_free():
     assert multiply(x1y1, BigradedMonomial(False, (1,), ())) is None
     prod = multiply(x1y1, BigradedMonomial(True, (2,), ()))
     assert str(prod) == "E^X1^X2^Y1"
+
+
+def test_relation_table_lists_the_ideal_generators():
+    assert names(odd_x_relation(2)) == ["X1^Y2", "X3^Y1"]
+    assert names(y_relation(2)) == ["Y2^Y3", "Y1^Y4"]
+    table = relation_table(26)
+    assert [(q, n, names(terms)) for q, n, terms in table[:3]] == [
+        (2, 3, ["E^X1"]),
+        (3, 5, ["E^Y1"]),
+        (3, 6, ["X1^Y1"]),
+    ]
+    assert len(table) == 10  # E^X1, E^Y1, G_1..G_6, H_1, H_2
+    assert all(w.bidegree == (q, n) for q, n, terms in table for w in terms)
+
+
+def test_image_of_a_word_is_the_cup_of_its_factor_classes():
+    # the tuple map against the slice path, for every word with n <= 16
+    words = 0
+    for n in range(1, 17):
+        for q in range(1, n + 1):
+            for w in monomials_in_bidegree(q, n):
+                factors = (
+                    ([class_of(e_cocycle())] if w.has_e else [])
+                    + [class_of(x_cocycle(i)) for i in w.xs]
+                    + [class_of(y_cocycle(i)) for i in w.ys]
+                )
+                assert class_of(image((w,)), 1, n=n, q=q) == reduce(cup, factors), w
+                words += 1
+    assert words == 91
 
 
 def test_ideal_rank_examples():

@@ -4,7 +4,7 @@ import pytest
 
 import wittcoh
 from conftest import M, P
-from wittcoh import conjecture, monomials
+from wittcoh import conjecture, monomials, partitions
 from wittcoh.cochains import Cochain, coboundary, corrupted_generator, generator, max_length, wedge
 from wittcoh.gf2 import BitMatrix
 from wittcoh.monomials import (
@@ -82,7 +82,7 @@ def test_clear_caches_empties_the_wedge_and_tuple_memos():
     marked_wedge(M((3, 5), (5,)))
     corrected_wedge(M((5, 7)))
     conjecture.monomials_in_bidegree(3, 12)
-    memos = (monomials._factor, monomials.corrected_wedge, conjecture._strict_tuples)
+    memos = (monomials._factor, monomials.corrected_wedge, partitions._partitions)
     assert all(memo.cache_info().currsize for memo in memos)
     wittcoh.clear_caches()
     assert not any(memo.cache_info().currsize for memo in memos)

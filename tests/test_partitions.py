@@ -1,6 +1,5 @@
 import importlib
 import math
-import random
 from itertools import combinations
 
 import pytest
@@ -247,29 +246,32 @@ def test_order_is_strict_partial_order():
 def test_union_monotonicity():
     # The union lemma is only ever invoked between marked partitions of one
     # length (decompositions stay within a block), where the mark-tiebreak
-    # convention is forced; cross-length quadruples are out of scope.
-    rng = random.Random(5)
-    pools = {n: all_marked(n) for n in range(2, 9)}
-    trials = 0
-    while trials < 300:
-        n1, n2 = rng.randint(2, 8), rng.randint(2, 8)
-        a, a2 = rng.choice(pools[n1]), rng.choice(pools[n1])
-        b, b2 = rng.choice(pools[n2]), rng.choice(pools[n2])
-        if a.length != a2.length or b.length != b2.length:
-            continue  # the rewriting this feeds is length-homogeneous
-        if compare(a, a2) not in (Order.LESS, Order.EQUAL):
-            continue
-        if compare(b, b2) is not Order.LESS:
-            continue
-        try:
-            left = union_marked(a, b)
-            right = union_marked(a2, b2)
-        except ValueError:
-            continue  # colliding marks: union undefined
-        if not (is_strict(left.base) and is_strict(right.base)):
-            continue  # mirrors the nonzero-wedge hypothesis: no shared parts
-        trials += 1
-        assert compare(left, right) is Order.LESS
+    # convention is forced; cross-length quadruples are out of scope.  A
+    # strict union (the nonzero-wedge hypothesis) needs strict bases with no
+    # shared part, which also keeps the marks from colliding.  Every such
+    # quadruple with n1, n2 <= 8 is checked.
+    pools = {n: [mp for mp in all_marked(n) if is_strict(mp.base)] for n in range(2, 9)}
+
+    def ordered(n, orders):
+        return [
+            (a, a2)
+            for a in pools[n]
+            for a2 in pools[n]
+            if a.length == a2.length and compare(a, a2) in orders
+        ]
+
+    lows = {n: ordered(n, (Order.LESS, Order.EQUAL)) for n in pools}
+    highs = {n: ordered(n, (Order.LESS,)) for n in pools}
+    checked = 0
+    for n1 in pools:
+        for n2 in pools:
+            for a, a2 in lows[n1]:
+                for b, b2 in highs[n2]:
+                    if set(a.base.parts) & set(b.base.parts) or set(a2.base.parts) & set(b2.base.parts):
+                        continue
+                    checked += 1
+                    assert compare(union_marked(a, b), union_marked(a2, b2)) is Order.LESS
+    assert checked == 4210
 
 
 # --- enumerators -------------------------------------------------------------
