@@ -17,14 +17,30 @@ over simple components of:
 
 In this basis the coboundary acts by marking one unmarked odd non-special
 component of odd length — nothing else survives.
+
+Both wedges exist twice: as tuple cochains (``marked_wedge``,
+``corrected_wedge``) and as vectors of their block's slice (``marked_vec``,
+``corrected_vec``), the product of memoized per-factor vectors under
+``wedge_coords``.  The bases and the verify suites read the vectors; the
+cochains are the library's readable form and the tests' reference.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .caching import cached
-from .cochains import Cochain, _at_bits, coboundary, generator, graded_slice, wedge
+from .cochains import (
+    Cochain,
+    _at_bits,
+    _index_mask,
+    _monomials,
+    coboundary,
+    generator,
+    graded_slice,
+    wedge,
+    wedge_coords,
+)
 from .gf2 import BitMatrix
 from .partitions import (
     MarkedPartition,
@@ -51,17 +67,20 @@ def markable_parts(base: Partition) -> tuple[int, ...]:
     return tuple(i for i in base.parts if _factor(i, True))
 
 
+def _require_wedge_base(base: Partition) -> None:
+    if base.length == 0:
+        raise ValueError("empty partition has no wedge monomial")
+    if base.parts[0] < 1:
+        raise ValueError("marked wedges need parts >= 1")
+
+
 def marked_wedge(mp: MarkedPartition) -> Cochain | None:
     """The wedge cochain of a marked partition; None when it collapses to zero.
 
     A zero factor (a mark on an even part or on 1) gives None before any
     wedge is built."""
-    base = mp.base
-    if base.length == 0:
-        raise ValueError("empty partition has no wedge monomial")
-    if base.parts[0] < 1:
-        raise ValueError("marked wedges need parts >= 1")
-    factors = [_factor(i, i in mp.marks) for i in base.parts]
+    _require_wedge_base(mp.base)
+    factors = [_factor(i, i in mp.marks) for i in mp.base.parts]
     if not all(factors):
         return None
     out = factors[0]
@@ -72,20 +91,66 @@ def marked_wedge(mp: MarkedPartition) -> Cochain | None:
     return out
 
 
+class _Block(NamedTuple):
+    """The grading of a product block, all that ``wedge_coords`` reads of
+    its arguments."""
+
+    k: int
+    n: int
+    q: int
+
+
+def _vector(c: Cochain, n: int, q: int) -> int:
+    """A cochain of the (n, q) block at minimal index 1 as a vector of that
+    block, in the monomial order of its slice."""
+    pos = _monomials(1, n, q)[2]
+    vec = 0
+    for mono in c.terms:
+        vec |= 1 << pos[_index_mask(mono, 1)]
+    return vec
+
+
+def _fold(factors: list[tuple[_Block, int]]) -> int:
+    """The wedge of the factors' vectors, left to right; 0 once it vanishes."""
+    block, vec = factors[0]
+    for fblock, fvec in factors[1:]:
+        if not vec:
+            return 0
+        vec = wedge_coords(block, vec, fblock, fvec)
+        block = _Block(1, block.n + fblock.n, block.q + fblock.q)
+    return vec
+
+
+@cached
+def _factor_vec(i: int, marked: bool) -> tuple[_Block, int]:
+    """``_factor(i, marked)`` as a vector of its block."""
+    block = _Block(1, i, 1 + marked)
+    return block, _vector(_factor(i, marked), i, block.q)
+
+
+@cached
+def marked_vec(mp: MarkedPartition) -> int:
+    """``marked_wedge(mp)`` as a vector of its (degree, length) block, or 0
+    when it collapses; memoized per marked partition."""
+    _require_wedge_base(mp.base)
+    return _fold([_factor_vec(i, i in mp.marks) for i in mp.base.parts])
+
+
 class WedgeBasis:
     """One basis of the (n, q) block at minimal index 1, indexed by the regular
     marked partitions: the wedges are the columns of a square invertible matrix
     in monomial coordinates.
 
-    ``wedge_of`` maps a regular marked partition to its basis cochain.  Both
-    load-bearing facts are checked while building: the matrix is square (the
-    count of regular marked partitions equals the count of strict partitions)
-    and no wedge collapses to zero; ``inverse`` raises if it is singular.
+    ``vec_of`` maps a regular marked partition to its basis wedge as a vector
+    of the block.  Both load-bearing facts are checked while building: the
+    matrix is square (the count of regular marked partitions equals the count
+    of strict partitions) and no wedge collapses to zero; ``inverse`` raises
+    if it is singular.
     """
 
     __slots__ = ("n", "q", "shapes", "matrix", "inverse", "slice")
 
-    def __init__(self, n: int, q: int, wedge_of: Callable[[MarkedPartition], Cochain | None]):
+    def __init__(self, n: int, q: int, vec_of: Callable[[MarkedPartition], int]):
         sl = graded_slice(1, n, q)
         shapes = tuple(marked_regular_partitions(n, q, 1))
         if len(shapes) != sl.dim:
@@ -95,10 +160,10 @@ class WedgeBasis:
             )
         cols = []
         for mp in shapes:
-            value = wedge_of(mp)
+            value = vec_of(mp)
             if not value:
                 raise ValueError(f"wedge of {mp} collapsed to zero")
-            cols.append(sl.coords(value))
+            cols.append(value)
         self.n = n
         self.q = q
         self.shapes = shapes
@@ -106,15 +171,19 @@ class WedgeBasis:
         self.inverse = self.matrix.inverse()
         self.slice = sl
 
+    def terms(self, vec: int) -> list[MarkedPartition]:
+        """The shapes whose wedges sum to vec, a vector of this block."""
+        return _at_bits(self.shapes, self.inverse.mul_vec(vec))
+
     def decompose(self, c: Cochain) -> dict[MarkedPartition, int]:
         """The shapes whose wedges sum to c, a cochain of this block."""
-        return dict.fromkeys(_at_bits(self.shapes, self.inverse.mul_vec(self.slice.coords(c))), 1)
+        return dict.fromkeys(self.terms(self.slice.coords(c)), 1)
 
 
 @cached
 def regular_basis(n: int, q: int) -> WedgeBasis:
     """Marked wedges of all regular marked partitions of (n, q)."""
-    return WedgeBasis(n, q, marked_wedge)
+    return WedgeBasis(n, q, marked_vec)
 
 
 def decompose(c: Cochain) -> dict[MarkedPartition, int]:
@@ -152,46 +221,70 @@ def simple_corrected(p: Partition, marked: bool = False) -> Cochain | None:
     return out
 
 
+def _marked_components(mp: MarkedPartition) -> list[tuple[Partition, bool]]:
+    """The simple components of a regular marked partition, each with whether
+    its leading part is marked."""
+    if not is_regular_marked(mp, 1):
+        raise ValueError(f"{mp} is not a regular marked partition")
+    marked = set(mp.marks)
+    return [(comp, comp.parts[0] in marked) for comp in canonical_decomposition(mp.base, 1)]
+
+
 @cached
 def corrected_wedge(mp: MarkedPartition) -> Cochain:
     """Corrected wedge of a regular marked partition (product over components);
     memoized per marked partition."""
-    if not is_regular_marked(mp, 1):
-        raise ValueError(f"{mp} is not a regular marked partition")
-    marked = set(mp.marks)
     out = Cochain.unit()
-    for comp in canonical_decomposition(mp.base, 1):
-        factor = simple_corrected(comp, marked=comp.parts[0] in marked)
+    for comp, marked in _marked_components(mp):
+        factor = simple_corrected(comp, marked)
         assert factor is not None  # marks sit on odd non-special components only
         out = wedge(out, factor)
     assert out, f"corrected wedge of {mp} collapsed"
     return out
 
 
+@cached
+def _component_vec(p: Partition, marked: bool) -> tuple[_Block, int]:
+    """``simple_corrected(p, marked)`` as a vector of its block."""
+    factor = simple_corrected(p, marked)
+    assert factor is not None  # marks sit on odd non-special components only
+    block = _Block(1, p.degree, p.length + marked)
+    return block, _vector(factor, block.n, block.q)
+
+
+@cached
+def corrected_vec(mp: MarkedPartition) -> int:
+    """``corrected_wedge(mp)`` as a vector of its (degree, length) block;
+    memoized per marked partition."""
+    vec = _fold([_component_vec(comp, marked) for comp, marked in _marked_components(mp)])
+    assert vec, f"corrected wedge of {mp} collapsed"
+    return vec
+
+
+def marked_variants(mp: MarkedPartition) -> list[MarkedPartition]:
+    """The shapes of the closed form of the coboundary of a corrected wedge:
+    mp with one more mark, on an unmarked odd non-special component of odd
+    length."""
+    return [
+        MarkedPartition(mp.base, tuple(sorted(mp.marks + (comp.parts[0],))))
+        for comp, marked in _marked_components(mp)
+        if not marked and comp.length % 2 == 1 and is_odd(comp) and not is_special(comp, 1)
+    ]
+
+
 def predicted_coboundary(mp: MarkedPartition) -> Cochain:
-    """Closed form for the coboundary of a corrected wedge: the sum over
-    unmarked odd non-special components of odd length of the same wedge
-    with that component marked."""
-    if not is_regular_marked(mp, 1):
-        raise ValueError(f"{mp} is not a regular marked partition")
-    marked = set(mp.marks)
+    """Closed form for the coboundary of a corrected wedge: the sum of the
+    corrected wedges of its ``marked_variants``."""
     out = Cochain.zero()
-    for comp in canonical_decomposition(mp.base, 1):
-        lead = comp.parts[0]
-        if lead in marked or not is_odd(comp) or is_special(comp, 1):
-            continue
-        if comp.length % 2 == 0:
-            continue
-        out = out + corrected_wedge(
-            MarkedPartition(mp.base, tuple(sorted(mp.marks + (lead,))))
-        )
+    for variant in marked_variants(mp):
+        out = out + corrected_wedge(variant)
     return out
 
 
 @cached
 def corrected_basis(n: int, q: int) -> WedgeBasis:
     """Corrected wedges of all regular marked partitions of (n, q)."""
-    return WedgeBasis(n, q, corrected_wedge)
+    return WedgeBasis(n, q, corrected_vec)
 
 
 def decompose_corrected(c: Cochain) -> dict[MarkedPartition, int]:

@@ -21,7 +21,7 @@ from itertools import combinations
 from . import caching
 from .cochains import (
     Cochain,
-    boundary,
+    _monomials,
     coboundary,
     generator,
     generator_action,
@@ -44,13 +44,12 @@ from .cohomology import (
 from .conjecture import image, odd_x_relation, relation_table, scan, y_relation
 from .gf2 import BitMatrix, Gf2Span
 from .monomials import (
-    corrected_wedge,
-    decompose,
+    corrected_vec,
     e_cocycle,
-    marked_wedge,
     markable_parts,
+    marked_variants,
+    marked_vec,
     pair_cocycle,
-    predicted_coboundary,
     regular_basis,
     x_cocycle,
     y_cocycle,
@@ -173,11 +172,11 @@ def criterion_wedge_basis(n_max: int | None = None) -> CheckResult:
             for r in range(len(markable) + 1):
                 for marks in combinations(markable, r):
                     mp = MarkedPartition(base, marks)
-                    value = marked_wedge(mp)
-                    if value is None:
+                    vec = marked_vec(mp)
+                    if not vec:
                         continue
                     res.count()
-                    terms = decompose(value)
+                    terms = regular_basis(n, mp.length).terms(vec)
                     if is_regular_marked(mp, 1):
                         if set(terms) != {mp}:
                             res.fail(f"{mp}: regular wedge does not decompose to itself")
@@ -231,10 +230,13 @@ def criterion_corrected_coboundary(n_max: int | None = None) -> CheckResult:
     res = CheckResult("corrected-wedge coboundary closed form")
     for n in range(1, _bound(24, n_max) + 1):
         for q in range(1, max_length(1, n) + 1):
+            delta = graded_slice(1, n, q).delta
             for mp in marked_regular_partitions(n, q, 1):
                 res.count()
-                actual = coboundary(corrected_wedge(mp), 1)
-                if actual != predicted_coboundary(mp):
+                predicted = 0
+                for variant in marked_variants(mp):
+                    predicted ^= corrected_vec(variant)
+                if delta.mul_vec(corrected_vec(mp)) != predicted:
                     res.fail(f"{mp}: coboundary differs from the closed form")
     return res
 
@@ -363,12 +365,24 @@ def criterion_special_counts(n_max: int | None = None) -> CheckResult:
 
 
 def _boundary_matrix(k: int, n: int, q: int) -> BitMatrix:
-    source = graded_slice(k, n, q)
-    target = graded_slice(k, n, q - 1)
+    """The boundary from the (n, q) block to the (n, q-1) block, contracted
+    on index masks: each pair of indices with an odd sum s is replaced by s
+    when the rest of the monomial misses it.  Built without the coboundary,
+    so the structural suite can check it against the coboundary's transpose."""
+    basis, masks, _ = _monomials(k, n, q)
+    target, _, tpos = _monomials(k, n, q - 1)
     cols = []
-    for mono in source.basis:
-        cols.append(target.coords(boundary(Cochain(frozenset({mono})), k)))
-    return BitMatrix.from_columns(cols, target.dim)
+    for mono, mask in zip(basis, masks):
+        col = 0
+        for a, b in combinations(mono, 2):
+            s = a + b
+            if s % 2 == 0:
+                continue
+            rest = mask ^ (1 << (a - k)) ^ (1 << (b - k))
+            if not rest >> (s - k) & 1:
+                col ^= 1 << tpos[rest | 1 << (s - k)]
+        cols.append(col)
+    return BitMatrix.from_columns(cols, len(target))
 
 
 def criterion_structural(n_max: int | None = None, seed: int = 0) -> CheckResult:
@@ -450,23 +464,20 @@ def _block_total_homology(base: Partition) -> tuple[int, list[str]]:
     Levels are mark counts; also reports any coboundary escaping the block.
     """
     problems: list[str] = []
-    n = base.degree
     leads = leading_parts(base, 1)
+    levels = [
+        [MarkedPartition(base, m) for m in combinations(leads, r)] for r in range(len(leads) + 1)
+    ]
+    level_vecs = [[corrected_vec(mp) for mp in shapes] for shapes in levels] + [[]]
     prev_rank = 0
     total = 0
-    for r in range(len(leads) + 1):
-        q = base.length + r
-        sl = graded_slice(1, n, q)
-        shapes = [MarkedPartition(base, m) for m in combinations(leads, r)]
-        vecs = [sl.coords(corrected_wedge(mp)) for mp in shapes]
-        next_span = Gf2Span()
-        if r < len(leads):
-            next_sl = graded_slice(1, n, q + 1)
-            for m2 in combinations(leads, r + 1):
-                next_span.add(next_sl.coords(corrected_wedge(MarkedPartition(base, m2))))
+    for r, shapes in enumerate(levels):
+        delta = graded_slice(1, base.degree, base.length + r).delta
+        vecs = level_vecs[r]
+        next_span = Gf2Span(level_vecs[r + 1])
         image = Gf2Span()
         for mp, v in zip(shapes, vecs):
-            dv = sl.delta.mul_vec(v)
+            dv = delta.mul_vec(v)
             if dv and dv not in next_span:
                 problems.append(f"{mp}: coboundary leaves its block")
             image.add(dv)
@@ -482,17 +493,17 @@ def criterion_cocycle_families(n_max: int | None = None) -> CheckResult:
     nonzero closed cochains whose classes form a basis in every length."""
     res = CheckResult("cocycle family bases")
     for n in range(1, _bound(24, n_max) + 1):
-        by_q: dict[int, list[Cochain]] = defaultdict(list)
+        by_q: dict[int, list[int]] = defaultdict(list)
         for base in cohomology_partitions(n, 1):
             leads = leading_parts(base, 1)
             for marks in (m for r in range(len(leads) + 1) for m in combinations(leads, r)):
                 mp = MarkedPartition(base, marks)
-                eps = corrected_wedge(mp)
+                eps = corrected_vec(mp)
                 res.count()
                 if not eps:
                     res.fail(f"{mp}: corrected wedge is zero")
                     continue
-                if coboundary(eps, 1):
+                if graded_slice(1, n, mp.length).delta.mul_vec(eps):
                     res.fail(f"{mp}: corrected wedge is not closed")
                     continue
                 by_q[mp.length].append(eps)
@@ -505,7 +516,7 @@ def criterion_cocycle_families(n_max: int | None = None) -> CheckResult:
                 continue
             span = Gf2Span(basis.image_vecs)
             for eps in fam:
-                if not span.add(basis.slice.coords(eps)):
+                if not span.add(eps):
                     res.fail(f"n={n} q={q}: family dependent modulo coboundaries")
                     break
     return res

@@ -5,14 +5,25 @@ import pytest
 import wittcoh
 from conftest import M, P
 from wittcoh import conjecture, monomials, partitions
-from wittcoh.cochains import Cochain, coboundary, corrupted_generator, generator, max_length, wedge
+from wittcoh.cochains import (
+    Cochain,
+    coboundary,
+    corrupted_generator,
+    generator,
+    graded_slice,
+    max_length,
+    wedge,
+)
 from wittcoh.gf2 import BitMatrix
 from wittcoh.monomials import (
     corrected_basis,
+    corrected_vec,
     corrected_wedge,
     decompose,
     decompose_corrected,
     e_cocycle,
+    marked_variants,
+    marked_vec,
     marked_wedge,
     pair_cocycle,
     predicted_coboundary,
@@ -81,8 +92,16 @@ def test_clear_caches_empties_the_wedge_and_tuple_memos():
     wittcoh.clear_caches()
     marked_wedge(M((3, 5), (5,)))
     corrected_wedge(M((5, 7)))
+    marked_vec(M((3, 5), (5,)))
+    corrected_vec(M((5, 7)))
     conjecture.monomials_in_bidegree(3, 12)
-    memos = (monomials._factor, monomials.corrected_wedge, partitions._partitions)
+    memos = (
+        monomials._factor,
+        monomials.corrected_wedge,
+        monomials.marked_vec,
+        monomials.corrected_vec,
+        partitions._partitions,
+    )
     assert all(memo.cache_info().currsize for memo in memos)
     wittcoh.clear_caches()
     assert not any(memo.cache_info().currsize for memo in memos)
@@ -99,13 +118,60 @@ def test_wedge_memos_follow_corrupted_generator():
             out = out + wedge(coboundary(generator(9 - 2 * r), 1), generator(11 + 2 * r))
         return out
 
+    def vectors():
+        return marked_vec(shape), corrected_vec(pair)
+
+    def reference_vectors():
+        return (
+            graded_slice(1, 11, 3).coords(reference_marked_wedge(shape)),
+            graded_slice(1, 20, 3).coords(reference_corrected()),
+        )
+
+    vector_memos = (monomials.marked_vec, monomials.corrected_vec)
     clean = marked_wedge(shape), corrected_wedge(pair)
+    clean_vecs = vectors()
     assert clean == (reference_marked_wedge(shape), reference_corrected())
+    assert clean_vecs == reference_vectors()
     with corrupted_generator(9):
+        assert not any(memo.cache_info().currsize for memo in vector_memos)
         inside = marked_wedge(shape), corrected_wedge(pair)
         assert inside == (reference_marked_wedge(shape), reference_corrected())
         assert inside[0] != clean[0] and inside[1] != clean[1]
+        inside_vecs = vectors()
+        assert inside_vecs == reference_vectors()
+        assert inside_vecs[0] != clean_vecs[0] and inside_vecs[1] != clean_vecs[1]
+    assert not any(memo.cache_info().currsize for memo in vector_memos)
     assert (marked_wedge(shape), corrected_wedge(pair)) == clean
+    assert vectors() == clean_vecs
+
+
+def test_marked_vec_matches_marked_wedge():
+    # every marked shape of the wedge-basis sweep, and the marks on even
+    # parts and on 1 that it skips
+    collapsed = 0
+    for n in range(1, 17):
+        for q in range(1, max_length(1, n) + 1):
+            for base in strict_partitions(n, q):
+                for r in range(q + 1):
+                    for marks in combinations(base.parts, r):
+                        mp = M(base.parts, marks)
+                        value = marked_wedge(mp)
+                        want = 0 if value is None else graded_slice(1, n, mp.length).coords(value)
+                        assert marked_vec(mp) == want, mp
+                        collapsed += not want
+    assert collapsed > 0
+
+
+def test_corrected_vec_and_variants_match_the_tuple_wedges():
+    for n in range(1, 17):
+        for q in range(1, max_length(1, n) + 1):
+            sl, next_sl = graded_slice(1, n, q), graded_slice(1, n, q + 1)
+            for mp in marked_regular_partitions(n, q, 1):
+                assert corrected_vec(mp) == sl.coords(corrected_wedge(mp)), mp
+                predicted = 0
+                for variant in marked_variants(mp):
+                    predicted ^= corrected_vec(variant)
+                assert predicted == next_sl.coords(predicted_coboundary(mp)), mp
 
 
 def test_regular_basis_shapes():
@@ -174,10 +240,11 @@ def test_corrected_wedge_examples():
 
 
 def test_corrected_wedge_rejects_singular():
-    with pytest.raises(ValueError):
-        corrected_wedge(M((2, 3)))
-    with pytest.raises(ValueError):
-        corrected_wedge(M((5, 7), (7,)))
+    for build in (corrected_wedge, corrected_vec, marked_variants):
+        with pytest.raises(ValueError):
+            build(M((2, 3)))
+        with pytest.raises(ValueError):
+            build(M((5, 7), (7,)))
 
 
 def test_predicted_coboundary_simple():
