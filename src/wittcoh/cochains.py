@@ -15,8 +15,8 @@ reduce their integer coefficients mod 2 at insertion time:
 
 The complex splits into finite blocks by degree n (index sum) and length q;
 ``graded_slice`` materializes one block's monomial basis together with the
-matrix of the coboundary into the next block, and ``wedge_coords`` wedges
-two blocks' vectors in those coordinates.
+matrix of the coboundary into the next block, and ``wedge_coords``, the
+product behind ``cup``, wedges two blocks' vectors in those coordinates.
 """
 
 from __future__ import annotations

@@ -20,14 +20,15 @@ component of odd length — nothing else survives.
 
 Both wedges exist twice: as tuple cochains (``marked_wedge``,
 ``corrected_wedge``) and as vectors of their block's slice (``marked_vec``,
-``corrected_vec``), the product of memoized per-factor vectors under
-``wedge_coords``.  The bases and the verify suites read the vectors; the
-cochains are the library's readable form and the tests' reference.
+``corrected_vec``), built as one product over the index masks of the
+factors' monomials, which are memoized per factor.  The bases and the verify
+suites read the vectors; the cochains are the library's readable form and
+the tests' reference.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .caching import cached
 from .cochains import (
@@ -39,7 +40,6 @@ from .cochains import (
     generator,
     graded_slice,
     wedge,
-    wedge_coords,
 )
 from .gf2 import BitMatrix
 from .partitions import (
@@ -91,49 +91,42 @@ def marked_wedge(mp: MarkedPartition) -> Cochain | None:
     return out
 
 
-class _Block(NamedTuple):
-    """The grading of a product block, all that ``wedge_coords`` reads of
-    its arguments."""
+def _product(factors: list[tuple[int, ...]], n: int, q: int) -> int:
+    """The wedge of the factors, each given by the index masks of its
+    monomials, as a vector of the (n, q) block; 0 once it vanishes.
 
-    k: int
-    n: int
-    q: int
-
-
-def _vector(c: Cochain, n: int, q: int) -> int:
-    """A cochain of the (n, q) block at minimal index 1 as a vector of that
-    block, in the monomial order of its slice."""
+    Over GF(2) the wedge of two monomials with disjoint index sets is their
+    union, so the running product is the set of masks that occur an odd
+    number of times, and each disjoint pair x, y toggles x | y."""
+    acc = {0}
+    for masks in factors:
+        nxt: set[int] = set()
+        for x in acc:
+            for y in masks:
+                if not x & y:
+                    nxt ^= {x | y}
+        if not nxt:
+            return 0
+        acc = nxt
     pos = _monomials(1, n, q)[2]
     vec = 0
-    for mono in c.terms:
-        vec |= 1 << pos[_index_mask(mono, 1)]
-    return vec
-
-
-def _fold(factors: list[tuple[_Block, int]]) -> int:
-    """The wedge of the factors' vectors, left to right; 0 once it vanishes."""
-    block, vec = factors[0]
-    for fblock, fvec in factors[1:]:
-        if not vec:
-            return 0
-        vec = wedge_coords(block, vec, fblock, fvec)
-        block = _Block(1, block.n + fblock.n, block.q + fblock.q)
+    for m in acc:
+        vec |= 1 << pos[m]
     return vec
 
 
 @cached
-def _factor_vec(i: int, marked: bool) -> tuple[_Block, int]:
-    """``_factor(i, marked)`` as a vector of its block."""
-    block = _Block(1, i, 1 + marked)
-    return block, _vector(_factor(i, marked), i, block.q)
+def _factor_masks(i: int, marked: bool) -> tuple[int, ...]:
+    """The index masks of the monomials of ``_factor(i, marked)``."""
+    return tuple(_index_mask(mono, 1) for mono in _factor(i, marked).terms)
 
 
-@cached
 def marked_vec(mp: MarkedPartition) -> int:
     """``marked_wedge(mp)`` as a vector of its (degree, length) block, or 0
-    when it collapses; memoized per marked partition."""
+    when it collapses."""
     _require_wedge_base(mp.base)
-    return _fold([_factor_vec(i, i in mp.marks) for i in mp.base.parts])
+    factors = [_factor_masks(i, i in mp.marks) for i in mp.base.parts]
+    return _product(factors, mp.degree, mp.length)
 
 
 class WedgeBasis:
@@ -244,19 +237,19 @@ def corrected_wedge(mp: MarkedPartition) -> Cochain:
 
 
 @cached
-def _component_vec(p: Partition, marked: bool) -> tuple[_Block, int]:
-    """``simple_corrected(p, marked)`` as a vector of its block."""
+def _component_masks(p: Partition, marked: bool) -> tuple[int, ...]:
+    """The index masks of the monomials of ``simple_corrected(p, marked)``."""
     factor = simple_corrected(p, marked)
     assert factor is not None  # marks sit on odd non-special components only
-    block = _Block(1, p.degree, p.length + marked)
-    return block, _vector(factor, block.n, block.q)
+    return tuple(_index_mask(mono, 1) for mono in factor.terms)
 
 
 @cached
 def corrected_vec(mp: MarkedPartition) -> int:
     """``corrected_wedge(mp)`` as a vector of its (degree, length) block;
     memoized per marked partition."""
-    vec = _fold([_component_vec(comp, marked) for comp, marked in _marked_components(mp)])
+    factors = [_component_masks(comp, marked) for comp, marked in _marked_components(mp)]
+    vec = _product(factors, mp.degree, mp.length)
     assert vec, f"corrected wedge of {mp} collapsed"
     return vec
 

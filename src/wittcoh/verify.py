@@ -120,15 +120,20 @@ def criterion_worked_example(n_max: int | None = None) -> CheckResult:
     return res
 
 
+def _check_dims(res: CheckResult, k: int, n_top: int) -> None:
+    """Prediction vs. brute force for every degree k..n_top at minimal index k."""
+    for n in range(k, n_top + 1):
+        res.count()
+        predicted = poincare_predicted(n, k)
+        computed = poincare_computed(n, k)
+        if predicted != computed:
+            res.fail(f"k={k} n={n}: predicted {poly_str(predicted)}, computed {poly_str(computed)}")
+
+
 def criterion_dims_min_index_1(n_max: int | None = None) -> CheckResult:
     """Prediction vs. brute force for every degree and length, minimal index 1."""
     res = CheckResult("dimension formula, minimal index 1")
-    for n in range(1, _bound(40, n_max) + 1):
-        res.count()
-        predicted = poincare_predicted(n, 1)
-        computed = poincare_computed(n, 1)
-        if predicted != computed:
-            res.fail(f"n={n}: predicted {poly_str(predicted)}, computed {poly_str(computed)}")
+    _check_dims(res, 1, _bound(40, n_max))
     return res
 
 
@@ -138,14 +143,7 @@ def criterion_dims_min_index_k(n_max: int | None = None, k_bound: int = 4) -> Ch
         res.note("skipped: bound below 2")
         return res
     for k in range(2, k_bound + 1):
-        for n in range(k, _bound(30, n_max) + 1):
-            res.count()
-            predicted = poincare_predicted(n, k)
-            computed = poincare_computed(n, k)
-            if predicted != computed:
-                res.fail(
-                    f"k={k} n={n}: predicted {poly_str(predicted)}, computed {poly_str(computed)}"
-                )
+        _check_dims(res, k, _bound(30, n_max))
     return res
 
 

@@ -226,6 +226,14 @@ def test_json_stdout_bytes_are_pinned(args, md5):
     assert hashlib.md5(out.encode()).hexdigest() == md5
 
 
+def test_verify_stdout_bytes_are_pinned():
+    # every suite at its committed bound: the suite lines, counts and notes
+    clear_all()
+    code, out, _ = run(["verify"])
+    assert code == 0
+    assert hashlib.md5(out.encode()).hexdigest() == "07bc9023e541c595a405dbcf9b7b704c"
+
+
 def test_python_m_wittcoh_runs_the_cli_from_a_checkout():
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = dict(os.environ)

@@ -12,6 +12,7 @@ from wittcoh.cochains import (
     graded_slice,
     max_length,
     wedge,
+    wedge_coords,
 )
 
 
@@ -218,6 +219,43 @@ def test_slice_coords_roundtrip():
     assert sl.cochain(v) == c((1, 11), (5, 7))
     with pytest.raises(ValueError):
         sl.coords(c((2, 3)))
+
+
+def _nonempty_slices(k, n_max):
+    return [
+        graded_slice(k, n, q)
+        for n in range(k, n_max + 1)
+        for q in range(1, max_length(k, n) + 1)
+    ]
+
+
+def test_wedge_coords_matches_the_tuple_wedge():
+    # random vectors, closed or not, over every pair of blocks of degree <= 12
+    rng = random.Random(5)
+    for k in (-1, 0, 1):
+        slices = _nonempty_slices(k, 12)
+        nonzero = 0
+        for a in slices:
+            for b in slices:
+                product = graded_slice(k, a.n + b.n, a.q + b.q)
+                va, vb = rng.getrandbits(a.dim), rng.getrandbits(b.dim)
+                want = product.coords(wedge(a.cochain(va), b.cochain(vb)))
+                assert wedge_coords(a, va, b, vb) == want, (k, a, va, b, vb)
+                nonzero += want != 0
+        assert nonzero > len(slices)
+
+
+def test_wedge_coords_squares_vanish():
+    # no signs over GF(2): the two orders of a disjoint pair cancel
+    rng = random.Random(5)
+    for k in (-1, 0, 1):
+        for sl in _nonempty_slices(k, 12):
+            if sl.dim <= 8:
+                vecs = range(1 << sl.dim)  # every vector of the block
+            else:
+                vecs = [rng.getrandbits(sl.dim) for _ in range(64)]
+            for v in vecs:
+                assert wedge_coords(sl, v, sl, v) == 0, (k, sl, v)
 
 
 def test_coboundary_squares_to_zero_matrixwise():

@@ -98,7 +98,8 @@ def test_clear_caches_empties_the_wedge_and_tuple_memos():
     memos = (
         monomials._factor,
         monomials.corrected_wedge,
-        monomials.marked_vec,
+        monomials._factor_masks,
+        monomials._component_masks,
         monomials.corrected_vec,
         partitions._partitions,
     )
@@ -127,7 +128,7 @@ def test_wedge_memos_follow_corrupted_generator():
             graded_slice(1, 20, 3).coords(reference_corrected()),
         )
 
-    vector_memos = (monomials.marked_vec, monomials.corrected_vec)
+    vector_memos = (monomials._factor_masks, monomials._component_masks, monomials.corrected_vec)
     clean = marked_wedge(shape), corrected_wedge(pair)
     clean_vecs = vectors()
     assert clean == (reference_marked_wedge(shape), reference_corrected())
@@ -160,6 +161,15 @@ def test_marked_vec_matches_marked_wedge():
                         assert marked_vec(mp) == want, mp
                         collapsed += not want
     assert collapsed > 0
+
+
+def test_marked_vec_cancels_a_union_reached_twice():
+    # e1^...^e6, the one monomial of its block, arises twice in
+    # d e5 ^ d e7 ^ d e9, from {1,4}{2,5}{3,6} and from {2,3}{1,6}{4,5}
+    mp = M((5, 7, 9), (5, 7, 9))
+    assert graded_slice(1, 21, 6).basis == ((1, 2, 3, 4, 5, 6),)
+    assert marked_wedge(mp) is None
+    assert marked_vec(mp) == 0
 
 
 def test_corrected_vec_and_variants_match_the_tuple_wedges():
