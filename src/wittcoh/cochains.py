@@ -17,6 +17,9 @@ The complex splits into finite blocks by degree n (index sum) and length q;
 ``graded_slice`` materializes one block's monomial basis together with the
 matrix of the coboundary into the next block, and ``wedge_coords``, the
 product behind ``cup``, wedges two blocks' vectors in those coordinates.
+One enumeration pass gives a block's monomials and their index masks
+(``_monomials``), and the slices of a degree share one table of the
+coboundary on index masks (``_expansion``).
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from typing import Iterable, Iterator
 
 from .caching import cached, clear_all
 from .gf2 import BitMatrix
-from .partitions import strict_index_tuples
 
 Monomial = tuple[int, ...]
 
@@ -260,10 +262,47 @@ class GradedSlice:
 @cached
 def _monomials(k: int, n: int, q: int) -> tuple[tuple[Monomial, ...], tuple[int, ...], dict[int, int]]:
     """The (n, q) monomial basis, the index mask of each basis monomial, and
-    each mask's position: the basis of slice q and the target of slice q-1."""
-    basis = tuple(strict_index_tuples(n, q, k))
-    masks = tuple(_index_mask(m, k) for m in basis)
-    return basis, masks, {m: i for i, m in enumerate(masks)}
+    each mask's position: the basis of slice q >= 1 and the target of slice
+    q-1.  Tuples and masks come from one pass, in ``strict_index_tuples``'
+    order."""
+    basis: list[Monomial] = []
+    masks: list[int] = []
+    _fill_monomials(basis, masks, (), 0, n, k, q, k)
+    return tuple(basis), tuple(masks), {m: i for i, m in enumerate(masks)}
+
+
+def _fill_monomials(
+    basis: list, masks: list, prefix: Monomial, pmask: int, remaining: int, lo: int, slots: int, k: int
+) -> None:
+    """Append to basis each strictly increasing completion of prefix by
+    `slots` indices >= lo that sum to remaining, and to masks its index mask
+    (pmask is prefix's).  Module level, as ``partitions._ascending``, so no
+    reference cycle keeps the lists alive."""
+    if slots > 2:
+        hi = (remaining - slots * (slots - 1) // 2) // slots  # a, a+1, ... must fit
+        for a in range(lo, hi + 1):
+            _fill_monomials(basis, masks, prefix + (a,), pmask | 1 << (a - k), remaining - a, a + 1, slots - 1, k)
+    elif slots == 2:
+        for a in range(lo, (remaining - 1) // 2 + 1):  # a < remaining - a
+            b = remaining - a
+            basis.append(prefix + (a, b))
+            masks.append(pmask | 1 << (a - k) | 1 << (b - k))
+    elif slots == 1 and remaining >= lo:
+        basis.append(prefix + (remaining,))
+        masks.append(pmask | 1 << (remaining - k))
+
+
+@cached
+def _expansion(k: int, top: int) -> dict[int, tuple[int, tuple[int, ...]]]:
+    """Odd index i <= top -> (its bit, the mask of each pair a + b = i of
+    ``_generator_pairs``): the coboundary of e_i on index masks, one table
+    for every slice of a degree."""
+    expand = {}
+    for i in range(k, top + 1):
+        pairs = _generator_pairs(i, k)
+        if pairs:
+            expand[i] = (1 << (i - k), tuple((1 << (a - k)) | (1 << (b - k)) for a, b in pairs))
+    return expand
 
 
 @cached
@@ -272,7 +311,9 @@ def graded_slice(k: int, n: int, q: int) -> GradedSlice:
 
     Works on index masks: the coboundary replaces an odd index i by each
     pair a + b = i of ``_generator_pairs`` that the rest of the monomial
-    misses, and each such term's position is looked up by its mask.
+    misses, and each such term's position is looked up by its mask.  The
+    table of those pairs is shared by the degree's slices; its top index is
+    n, or n + 1 at k = -1, where (-1, n + 1) is a monomial.
     """
     if k < -1:
         raise ValueError("minimal index must be >= -1")
@@ -280,13 +321,7 @@ def graded_slice(k: int, n: int, q: int) -> GradedSlice:
         raise ValueError("length must be >= 1")
     basis, masks, _ = _monomials(k, n, q)
     target, _, tpos = _monomials(k, n, q + 1)
-    top = max((mono[-1] for mono in basis), default=k)
-    # odd index i -> (its bit, the mask of each pair that replaces it)
-    expand = {}
-    for i in range(k, top + 1):
-        pairs = _generator_pairs(i, k)
-        if pairs:
-            expand[i] = (1 << (i - k), [(1 << (a - k)) | (1 << (b - k)) for a, b in pairs])
+    expand = _expansion(k, n - min(k, 0))
     cols = []
     for mono, mask in zip(basis, masks):
         col = 0

@@ -8,9 +8,11 @@ stored as built; rows are produced only on request, by ``rows()`` and by
 packs its rows into columns once.  Every elimination goes through one
 primitive, the span ``Gf2Span``.  It keeps one reduced vector per leading
 bit, so inserting or reducing a vector costs one whole-int XOR per pivot it
-meets, never a bit test per entry.  As in the augmented matrix [A | I], a
-tagged pass enters column j as ``col << width | 1 << j``: the tag bits ride
-along with every XOR, and a residue below ``1 << width`` is a kernel vector.
+meets, never a bit test per entry.  A matrix's pass fills a span's pivot
+dict with the span's reduce loop written out, so a column costs no method
+call.  As in the augmented matrix [A | I], a tagged pass enters column j as
+``col << width | 1 << j``: the tag bits ride along with every XOR, and a
+residue below ``1 << width`` is a kernel vector.
 A kernel, a solution or an inverse is read off one such pass; the rank and
 the pivot columns need no tags, and one untagged pass (``echelon``) gives
 them and the leading rows.  Both passes can skip *cleared* columns: columns
@@ -118,23 +120,31 @@ class BitMatrix:
 
     def _eliminate(self, cleared: int, width: int) -> tuple["Gf2Span", int, list[int]]:
         """The span, pivot columns and kernel vectors of one in-order pass that
-        skips the cleared columns; ``width`` is ncols if tagged, else 0."""
+        skips the cleared columns; ``width`` is ncols if tagged, else 0.  The
+        pass runs ``Gf2Span.reduce``'s loop on the span's pivot dict itself."""
         if cleared >> self.ncols:
             raise ValueError("cleared mask has bits outside the column range")
         skip = bin(cleared)[:1:-1].ljust(self.ncols, "0")  # "1" for a cleared column
         span = Gf2Span(width=width)
+        span_pivots = span._pivots
         limit = 1 << width
         pivots = 0
         kernel = []
         for j, (col, cleared_j) in enumerate(zip(self._cols, skip)):
             if cleared_j == "1":
                 continue
-            residue = span.reduce(col << width | 1 << j if width else col)
-            if residue >= limit:
-                span.insert(residue)
+            v = col << width | 1 << j if width else col
+            while v:
+                top = v.bit_length() - 1
+                basis = span_pivots.get(top)
+                if basis is None:
+                    break
+                v ^= basis
+            if v >= limit:  # the loop stopped at v's leading bit, a new pivot
+                span_pivots[top] = v
                 pivots |= 1 << j
             elif width:
-                kernel.append(residue)
+                kernel.append(v)
         return span, pivots, kernel
 
     def solve(self, target: int) -> int | None:
@@ -206,13 +216,8 @@ class Gf2Span:
         v = self.reduce(v)
         if v < self._limit:
             return False
-        self.insert(v)
+        self._pivots[v.bit_length() - 1] = v
         return True
-
-    def insert(self, residue: int) -> None:
-        """Store a vector that ``reduce`` already reduced modulo the span, with
-        bits above the tag, without reducing again."""
-        self._pivots[residue.bit_length() - 1] = residue
 
     def __contains__(self, v: int) -> bool:
         return self.reduce(v) < self._limit

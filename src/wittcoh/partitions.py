@@ -233,22 +233,26 @@ def ascending_tuples(total: int, count: int, lowest: int, min_gap: int) -> list[
     """All tuples of `count` integers summing to `total`, first entry >= lowest,
     successive entries increasing by at least `min_gap`."""
     out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], remaining: int, lo: int, slots: int) -> None:
-        if slots == 0:
-            if remaining == 0:
-                out.append(prefix)
-            return
-        if slots == 1:
-            if remaining >= lo:
-                out.append(prefix + (remaining,))
-            return
-        hi = (remaining - min_gap * slots * (slots - 1) // 2) // slots
-        for a in range(lo, hi + 1):
-            rec(prefix + (a,), remaining - a, a + min_gap, slots - 1)
-
-    rec((), total, lowest, count)
+    _ascending(out, (), total, lowest, count, min_gap)
     return out
+
+
+def _ascending(out: list, prefix: tuple[int, ...], remaining: int, lo: int, slots: int, min_gap: int) -> None:
+    """Append to out every completion of prefix by ``ascending_tuples``' rule.
+
+    A module-level recursion rather than a closure: a closure that calls
+    itself is a reference cycle, which keeps out alive until a full GC."""
+    if slots == 0:
+        if remaining == 0:
+            out.append(prefix)
+        return
+    if slots == 1:
+        if remaining >= lo:
+            out.append(prefix + (remaining,))
+        return
+    hi = (remaining - min_gap * slots * (slots - 1) // 2) // slots
+    for a in range(lo, hi + 1):
+        _ascending(out, prefix + (a,), remaining - a, a + min_gap, slots - 1, min_gap)
 
 
 def strict_index_tuples(n: int, q: int, min_index: int) -> list[tuple[int, ...]]:
@@ -369,18 +373,19 @@ def special_partitions(q: int, k: int) -> list[Partition]:
     """All special k-partitions of length q, by direct enumeration."""
     if q < 1 or k < 1:
         raise ValueError("needs q >= 1 and k >= 1")
-    hi = 2 * (k + q - 1) - 1
     out: list[tuple[int, ...]] = []
-
-    def rec(prefix: tuple[int, ...], lo: int, slots: int) -> None:
-        if slots == 0:
-            out.append(prefix)
-            return
-        for a in range(lo, hi - 2 * (slots - 1) + 1):
-            rec(prefix + (a,), a + 2, slots - 1)
-
-    rec((), k, q)
+    _special(out, (), k, q, 2 * (k + q - 1) - 1)
     return [Partition(t) for t in out]
+
+
+def _special(out: list, prefix: tuple[int, ...], lo: int, slots: int, hi: int) -> None:
+    """Append to out every completion of prefix by parts in [lo, hi] with
+    gaps >= 2 (module level, as ``_ascending``, so no cycle holds out)."""
+    if slots == 0:
+        out.append(prefix)
+        return
+    for a in range(lo, hi - 2 * (slots - 1) + 1):
+        _special(out, prefix + (a,), a + 2, slots - 1, hi)
 
 
 def count_special(q: int, k: int) -> int:

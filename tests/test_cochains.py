@@ -4,6 +4,8 @@ import pytest
 
 from wittcoh.cochains import (
     Cochain,
+    _index_mask,
+    _monomials,
     boundary,
     coboundary,
     corrupted_generator,
@@ -14,6 +16,7 @@ from wittcoh.cochains import (
     wedge,
     wedge_coords,
 )
+from wittcoh.partitions import strict_index_tuples
 
 
 def c(*monos):
@@ -182,14 +185,32 @@ def test_slice_empty():
 
 def test_corrupted_generator_is_scoped_to_its_block():
     clean = graded_slice(1, 9, 1).delta.rows()
+    clean_q2 = graded_slice(1, 9, 2).delta.columns()
     assert coboundary(generator(9), 1) == c((1, 8), (2, 7), (3, 6), (4, 5))
     with corrupted_generator(9):
         # the cached clean slice was dropped on entry
         assert graded_slice(1, 9, 1).delta.rows() != clean
         assert coboundary(generator(9), 1) == c((1, 8), (2, 7), (3, 6))
+        # slice (1, 9, 2) reads the expansion table that (1, 9, 1) built
+        _assert_columns_match_coboundary((1,), 9)
     # and the corrupted one on exit
     assert graded_slice(1, 9, 1).delta.rows() == clean
+    assert graded_slice(1, 9, 2).delta.columns() == clean_q2
     assert coboundary(generator(9), 1) == c((1, 8), (2, 7), (3, 6), (4, 5))
+
+
+def test_monomials_match_strict_index_tuples():
+    # one pass for tuples and masks, against the partition enumerator and
+    # _index_mask; q = max_length + 1 gives the empty blocks, k = -1 the
+    # index n + 1
+    for k in (-1, 0, 1, 2, 3, 4):
+        for n in range(k - 1, 31):
+            for q in range(1, max_length(k, n) + 2):
+                basis, masks, pos = _monomials(k, n, q)
+                assert basis == tuple(strict_index_tuples(n, q, k)), (k, n, q)
+                assert masks == tuple(_index_mask(m, k) for m in basis), (k, n, q)
+                assert pos == {m: i for i, m in enumerate(masks)}, (k, n, q)
+    assert _monomials(-1, 5, 2)[0][0] == (-1, 6)
 
 
 def _assert_columns_match_coboundary(ks, n_max):

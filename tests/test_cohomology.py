@@ -1,8 +1,10 @@
+import gc
 import random
 
 import pytest
 
 from conftest import P
+from wittcoh import conjecture
 from wittcoh.caching import clear_all
 from wittcoh.cochains import (
     Cochain,
@@ -496,3 +498,22 @@ def test_tensor_block_worked_example():
     assert total == 0 and not problems
     total, problems = _block_total_homology(P(2, 4, 6))
     assert total == 1 and not problems
+
+
+def test_sweeps_leave_no_reference_cycles():
+    # the enumerators recurse at module level, so a cleared memo frees its
+    # lists by reference counting alone: nothing is left for the collector
+    clear_all()
+    gc.collect()
+    gc.disable()
+    try:
+        for n in range(1, 31):
+            for q in range(1, max_length(1, n) + 1):
+                cohomology_dim(1, n, q)
+        clear_all()
+        assert gc.collect() == 0
+        conjecture.scan(16)
+        clear_all()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

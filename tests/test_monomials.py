@@ -4,7 +4,7 @@ import pytest
 
 import wittcoh
 from conftest import M, P
-from wittcoh import conjecture, monomials, partitions
+from wittcoh import cochains, conjecture, monomials, partitions
 from wittcoh.cochains import (
     Cochain,
     coboundary,
@@ -95,7 +95,10 @@ def test_clear_caches_empties_the_wedge_and_tuple_memos():
     marked_vec(M((3, 5), (5,)))
     corrected_vec(M((5, 7)))
     conjecture.monomials_in_bidegree(3, 12)
+    graded_slice(1, 9, 2)
     memos = (
+        cochains._monomials,
+        cochains._expansion,
         monomials._factor,
         monomials.corrected_wedge,
         monomials._factor_masks,
