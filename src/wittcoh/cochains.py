@@ -18,8 +18,8 @@ The complex splits into finite blocks by degree n (index sum) and length q;
 matrix of the coboundary into the next block, and ``wedge_coords``, the
 product behind ``cup``, wedges two blocks' vectors in those coordinates.
 One enumeration pass gives a block's monomials and their index masks
-(``_monomials``), and the slices of a degree share one table of the
-coboundary on index masks (``_expansion``).
+(``_monomials``), and each generator's coboundary on index masks is
+memoized once per minimal index (``_pair_masks``).
 """
 
 from __future__ import annotations
@@ -203,9 +203,10 @@ class GradedSlice:
     ``delta`` has one column per basis monomial of this block and one row per
     basis monomial of the (q+1)-block of the same degree, in that block's
     column order.  ``closed`` records d_q d_{q-1} = 0 on the pivot columns of
-    slice q-1.  If that holds, each leading row t of slice q-1 is the top bit
-    of an image vector r with d_q r = 0, so column t depends on the columns
-    before it, and the untagged pass skips it (``cleared``).  The pass gives
+    slice q-1; an empty block holds it vacuously and reads no slice below.
+    If that holds, each leading row t of slice q-1 is the top bit of an image
+    vector r with d_q r = 0, so column t depends on the columns before it,
+    and the untagged pass skips it (``cleared``).  The pass gives
     the ``pivots`` (the rest of the columns are free) and the ``leads`` (the
     leading rows of an echelon basis of the image).  ``coords`` indexes the
     monomial positions on its first call.
@@ -220,7 +221,7 @@ class GradedSlice:
         self.basis = basis
         self.delta = delta
         self.closed, self.cleared = True, 0
-        if q > 1:
+        if q > 1 and basis:  # an empty block is a leaf
             prev = graded_slice(k, n, q - 1)
             self.closed = not any(delta.mul_vec(w) for w in prev.image_basis())
             self.cleared = prev.leads if self.closed else 0
@@ -293,16 +294,10 @@ def _fill_monomials(
 
 
 @cached
-def _expansion(k: int, top: int) -> dict[int, tuple[int, tuple[int, ...]]]:
-    """Odd index i <= top -> (its bit, the mask of each pair a + b = i of
-    ``_generator_pairs``): the coboundary of e_i on index masks, one table
-    for every slice of a degree."""
-    expand = {}
-    for i in range(k, top + 1):
-        pairs = _generator_pairs(i, k)
-        if pairs:
-            expand[i] = (1 << (i - k), tuple((1 << (a - k)) | (1 << (b - k)) for a, b in pairs))
-    return expand
+def _pair_masks(k: int, i: int) -> tuple[int, ...]:
+    """The coboundary of e_i on index masks: the mask of each pair a + b = i
+    of ``_generator_pairs``; empty for an even i or an i without pairs."""
+    return tuple(1 << (a - k) | 1 << (b - k) for a, b in _generator_pairs(i, k))
 
 
 @cached
@@ -310,10 +305,9 @@ def graded_slice(k: int, n: int, q: int) -> GradedSlice:
     """Column j of ``delta`` is the coboundary of basis monomial j.
 
     Works on index masks: the coboundary replaces an odd index i by each
-    pair a + b = i of ``_generator_pairs`` that the rest of the monomial
-    misses, and each such term's position is looked up by its mask.  The
-    table of those pairs is shared by the degree's slices; its top index is
-    n, or n + 1 at k = -1, where (-1, n + 1) is a monomial.
+    pair a + b = i of ``_pair_masks`` that the rest of the monomial misses,
+    and each such term's position is looked up by its mask.  The indices
+    run up to n, or n + 1 at k = -1, where (-1, n + 1) is a monomial.
     """
     if k < -1:
         raise ValueError("minimal index must be >= -1")
@@ -321,15 +315,16 @@ def graded_slice(k: int, n: int, q: int) -> GradedSlice:
         raise ValueError("length must be >= 1")
     basis, masks, _ = _monomials(k, n, q)
     target, _, tpos = _monomials(k, n, q + 1)
-    expand = _expansion(k, n - min(k, 0))
+    expand = [_pair_masks(k, i) for i in range(k, n - min(k, 0) + 1)]
     cols = []
     for mono, mask in zip(basis, masks):
         col = 0
         for i in mono:
-            e = expand.get(i)
-            if e is not None:
-                rest = mask ^ e[0]
-                for ab in e[1]:
+            j = i - k
+            pairs = expand[j]
+            if pairs:
+                rest = mask ^ 1 << j
+                for ab in pairs:
                     if not rest & ab:
                         col ^= 1 << tpos[rest | ab]
         cols.append(col)

@@ -21,9 +21,10 @@ component of odd length — nothing else survives.
 Both wedges exist twice: as tuple cochains (``marked_wedge``,
 ``corrected_wedge``) and as vectors of their block's slice (``marked_vec``,
 ``corrected_vec``), built as one product over the index masks of the
-factors' monomials, which are memoized per factor.  The bases and the verify
-suites read the vectors; the cochains are the library's readable form and
-the tests' reference.
+factors' monomials, memoized per factor (a marked part's are its
+``cochains._pair_masks``).  The bases and the verify suites read the
+vectors; the cochains are the library's readable form and the tests'
+reference.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .cochains import (
     _at_bits,
     _index_mask,
     _monomials,
+    _pair_masks,
     coboundary,
     generator,
     graded_slice,
@@ -64,7 +66,7 @@ def _factor(i: int, marked: bool) -> Cochain:
 def markable_parts(base: Partition) -> tuple[int, ...]:
     """The parts of base whose marked factor is nonzero; a mark on any other
     part makes the marked wedge zero."""
-    return tuple(i for i in base.parts if _factor(i, True))
+    return tuple(i for i in base.parts if _pair_masks(1, i))
 
 
 def _require_wedge_base(base: Partition) -> None:
@@ -115,17 +117,11 @@ def _product(factors: list[tuple[int, ...]], n: int, q: int) -> int:
     return vec
 
 
-@cached
-def _factor_masks(i: int, marked: bool) -> tuple[int, ...]:
-    """The index masks of the monomials of ``_factor(i, marked)``."""
-    return tuple(_index_mask(mono, 1) for mono in _factor(i, marked).terms)
-
-
 def marked_vec(mp: MarkedPartition) -> int:
     """``marked_wedge(mp)`` as a vector of its (degree, length) block, or 0
     when it collapses."""
     _require_wedge_base(mp.base)
-    factors = [_factor_masks(i, i in mp.marks) for i in mp.base.parts]
+    factors = [_pair_masks(1, i) if i in mp.marks else (1 << (i - 1),) for i in mp.base.parts]
     return _product(factors, mp.degree, mp.length)
 
 
@@ -223,10 +219,8 @@ def _marked_components(mp: MarkedPartition) -> list[tuple[Partition, bool]]:
     return [(comp, comp.parts[0] in marked) for comp in canonical_decomposition(mp.base, 1)]
 
 
-@cached
 def corrected_wedge(mp: MarkedPartition) -> Cochain:
-    """Corrected wedge of a regular marked partition (product over components);
-    memoized per marked partition."""
+    """Corrected wedge of a regular marked partition (product over components)."""
     out = Cochain.unit()
     for comp, marked in _marked_components(mp):
         factor = simple_corrected(comp, marked)

@@ -195,8 +195,9 @@ def criterion_pair_identities(n_max: int | None = None) -> CheckResult:
     rather than hides.
     """
     res = CheckResult("quadratic cochain identities")
-    for n in range(2, _bound(60, n_max) + 1):
-        delta_of = {i: coboundary(generator(i), 1) for i in range(1, n)}
+    top = _bound(60, n_max)
+    delta_of = {i: coboundary(generator(i), 1) for i in range(1, top)}
+    for n in range(2, top + 1):
         if n % 2:
             res.count()
             total = Cochain.zero()

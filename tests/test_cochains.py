@@ -2,10 +2,12 @@ import random
 
 import pytest
 
+from wittcoh import caching
 from wittcoh.cochains import (
     Cochain,
     _index_mask,
     _monomials,
+    _pair_masks,
     boundary,
     coboundary,
     corrupted_generator,
@@ -191,12 +193,31 @@ def test_corrupted_generator_is_scoped_to_its_block():
         # the cached clean slice was dropped on entry
         assert graded_slice(1, 9, 1).delta.rows() != clean
         assert coboundary(generator(9), 1) == c((1, 8), (2, 7), (3, 6))
-        # slice (1, 9, 2) reads the expansion table that (1, 9, 1) built
+        # slice (1, 9, 2) reads the pair masks of e_9 that (1, 9, 1) memoized
         _assert_columns_match_coboundary((1,), 9)
     # and the corrupted one on exit
     assert graded_slice(1, 9, 1).delta.rows() == clean
     assert graded_slice(1, 9, 2).delta.columns() == clean_q2
     assert coboundary(generator(9), 1) == c((1, 8), (2, 7), (3, 6), (4, 5))
+
+
+def test_pair_masks_are_the_generator_coboundary():
+    # an index below k has no coboundary at minimal index k
+    for k in range(-1, 5):
+        for i in range(1, 31):
+            terms = coboundary(generator(i), k).terms if i >= k else ()
+            assert set(_pair_masks(k, i)) == {_index_mask(m, k) for m in terms}, (k, i)
+    assert _pair_masks(1, 8) == () and _pair_masks(3, 5) == ()
+
+
+def test_pair_masks_hold_one_entry_per_generator():
+    # a sweep of degrees 1..30 memoizes each generator's pairs once, not a
+    # table per degree
+    caching.clear_all()
+    for n in range(1, 31):
+        for q in range(1, max_length(1, n) + 1):
+            graded_slice(1, n, q)
+    assert _pair_masks.cache_info().currsize <= 31
 
 
 def test_monomials_match_strict_index_tuples():

@@ -233,6 +233,15 @@ def test_class_of_reads_the_tagged_span():
                         assert class_of(basis.slice.cochain(vec), k).coords == want, (k, n, q, i, j)
 
 
+def test_an_empty_block_is_a_leaf():
+    # q = 3000 lies far above max_length(1, 5) = 2: nothing below is read,
+    # so no chain of 3000 empty slices is descended
+    sl = graded_slice(1, 5, 3000)
+    assert sl.dim == 0 and sl.closed and not sl.cleared and not sl.pivots
+    assert cohomology_basis(1, 5, 3000).dim == 0
+    assert representative(CohomologyClass(1, 5, 3000, ())) == Cochain.zero()
+
+
 def test_class_of_coboundary_is_zero():
     assert class_of(coboundary(generator(5), 1), 1).is_zero
     assert class_of(c((1, 2)), 1).is_zero  # equals the coboundary of e3

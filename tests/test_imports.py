@@ -17,3 +17,25 @@ def test_runtime_imports_only_the_standard_library():
                 continue
             for name in names:
                 assert name.split(".")[0] in sys.stdlib_module_names, (path.name, name)
+
+
+def test_only_caching_memoizes_with_functools():
+    # every memo goes through caching.cached, so clear_all and
+    # corrupted_generator reach all of them
+    memoizers = {"lru_cache", "cache"}
+    for path in SOURCES:
+        if path.name == "caching.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        aliases = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Import)
+            for alias in node.names
+            if alias.name == "functools"
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                assert not memoizers & {alias.name for alias in node.names}, path.name
+            if isinstance(node, ast.Attribute) and node.attr in memoizers:
+                assert not (isinstance(node.value, ast.Name) and node.value.id in aliases), path.name

@@ -98,10 +98,8 @@ def test_clear_caches_empties_the_wedge_and_tuple_memos():
     graded_slice(1, 9, 2)
     memos = (
         cochains._monomials,
-        cochains._expansion,
+        cochains._pair_masks,
         monomials._factor,
-        monomials.corrected_wedge,
-        monomials._factor_masks,
         monomials._component_masks,
         monomials.corrected_vec,
         partitions._partitions,
@@ -131,7 +129,7 @@ def test_wedge_memos_follow_corrupted_generator():
             graded_slice(1, 20, 3).coords(reference_corrected()),
         )
 
-    vector_memos = (monomials._factor_masks, monomials._component_masks, monomials.corrected_vec)
+    vector_memos = (cochains._pair_masks, monomials._component_masks, monomials.corrected_vec)
     clean = marked_wedge(shape), corrected_wedge(pair)
     clean_vecs = vectors()
     assert clean == (reference_marked_wedge(shape), reference_corrected())
