@@ -306,8 +306,8 @@ def graded_slice(k: int, n: int, q: int) -> GradedSlice:
 
     Works on index masks: the coboundary replaces an odd index i by each
     pair a + b = i of ``_pair_masks`` that the rest of the monomial misses,
-    and each such term's position is looked up by its mask.  The indices
-    run up to n, or n + 1 at k = -1, where (-1, n + 1) is a monomial.
+    and each such term's position is looked up by its mask.  The largest
+    index is ``basis[0][-1]``.
     """
     if k < -1:
         raise ValueError("minimal index must be >= -1")
@@ -315,7 +315,7 @@ def graded_slice(k: int, n: int, q: int) -> GradedSlice:
         raise ValueError("length must be >= 1")
     basis, masks, _ = _monomials(k, n, q)
     target, _, tpos = _monomials(k, n, q + 1)
-    expand = [_pair_masks(k, i) for i in range(k, n - min(k, 0) + 1)]
+    expand = [_pair_masks(k, i) for i in range(k, basis[0][-1] + 1 if basis else k)]
     cols = []
     for mono, mask in zip(basis, masks):
         col = 0

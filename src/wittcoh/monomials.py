@@ -43,7 +43,7 @@ from .cochains import (
     graded_slice,
     wedge,
 )
-from .gf2 import BitMatrix
+from .gf2 import Gf2Span
 from .partitions import (
     MarkedPartition,
     Partition,
@@ -127,42 +127,39 @@ def marked_vec(mp: MarkedPartition) -> int:
 
 class WedgeBasis:
     """One basis of the (n, q) block at minimal index 1, indexed by the regular
-    marked partitions: the wedges are the columns of a square invertible matrix
-    in monomial coordinates.
+    marked partitions.
 
-    ``vec_of`` maps a regular marked partition to its basis wedge as a vector
-    of the block.  Both load-bearing facts are checked while building: the
-    matrix is square (the count of regular marked partitions equals the count
-    of strict partitions) and no wedge collapses to zero; ``inverse`` raises
-    if it is singular.
+    ``vec_of`` maps a shape to its wedge as a vector of the block.  Wedge j
+    enters ``span`` as ``vec << dim | 1 << j``, as in [W | I], so a vector
+    reduces to the tag bits of the wedges that sum to it.  Building raises
+    unless there are as many shapes as monomials and each wedge is nonzero
+    and independent of the ones before it.
     """
 
-    __slots__ = ("n", "q", "shapes", "matrix", "inverse", "slice")
+    __slots__ = ("shapes", "span", "slice")
 
     def __init__(self, n: int, q: int, vec_of: Callable[[MarkedPartition], int]):
         sl = graded_slice(1, n, q)
+        dim = sl.dim
         shapes = tuple(marked_regular_partitions(n, q, 1))
-        if len(shapes) != sl.dim:
+        if len(shapes) != dim:
             raise ValueError(
-                f"regular marked count {len(shapes)} != monomial dimension {sl.dim}"
-                f" at (n={n}, q={q})"
+                f"regular marked count {len(shapes)} != monomial dimension {dim} at (n={n}, q={q})"
             )
-        cols = []
-        for mp in shapes:
+        span = Gf2Span(width=dim)
+        for j, mp in enumerate(shapes):
             value = vec_of(mp)
             if not value:
                 raise ValueError(f"wedge of {mp} collapsed to zero")
-            cols.append(value)
-        self.n = n
-        self.q = q
+            if not span.add(value << dim | 1 << j):
+                raise ValueError(f"wedge of {mp} depends on the earlier wedges at (n={n}, q={q})")
         self.shapes = shapes
-        self.matrix = BitMatrix.from_columns(cols, sl.dim)
-        self.inverse = self.matrix.inverse()
+        self.span = span
         self.slice = sl
 
     def terms(self, vec: int) -> list[MarkedPartition]:
         """The shapes whose wedges sum to vec, a vector of this block."""
-        return _at_bits(self.shapes, self.inverse.mul_vec(vec))
+        return _at_bits(self.shapes, self.span.reduce(vec << self.slice.dim))
 
     def decompose(self, c: Cochain) -> dict[MarkedPartition, int]:
         """The shapes whose wedges sum to c, a cochain of this block."""

@@ -234,6 +234,16 @@ def test_monomials_match_strict_index_tuples():
     assert _monomials(-1, 5, 2)[0][0] == (-1, 6)
 
 
+def test_first_monomial_holds_the_largest_index():
+    # graded_slice reads its pair-mask list up to basis[0][-1] only
+    for k in (-1, 0, 1, 2, 3, 4):
+        for n in range(k - 1, 31):
+            for q in range(1, max_length(k, n) + 2):
+                basis = _monomials(k, n, q)[0]
+                if basis:
+                    assert basis[0][-1] == max(i for mono in basis for i in mono), (k, n, q)
+
+
 def _assert_columns_match_coboundary(ks, n_max):
     for k in ks:
         for n in range(k, n_max + 1):

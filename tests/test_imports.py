@@ -39,3 +39,14 @@ def test_only_caching_memoizes_with_functools():
                 assert not memoizers & {alias.name for alias in node.names}, path.name
             if isinstance(node, ast.Attribute) and node.attr in memoizers:
                 assert not (isinstance(node.value, ast.Name) and node.value.id in aliases), path.name
+
+
+def test_only_gf2_reads_inverse_or_solve():
+    # every decomposition reads the tag bits of a Gf2Span, so BitMatrix's
+    # inverse and solve have no caller in the package
+    for path in SOURCES:
+        if path.name == "gf2.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in {"inverse", "solve"}, (path.name, node.lineno)

@@ -1,3 +1,5 @@
+import random
+import re
 from itertools import combinations
 
 import pytest
@@ -14,8 +16,8 @@ from wittcoh.cochains import (
     max_length,
     wedge,
 )
-from wittcoh.gf2 import BitMatrix
 from wittcoh.monomials import (
+    WedgeBasis,
     corrected_basis,
     corrected_vec,
     corrected_wedge,
@@ -186,12 +188,38 @@ def test_corrected_vec_and_variants_match_the_tuple_wedges():
 
 
 def test_regular_basis_shapes():
-    for build in (regular_basis, corrected_basis):
+    for build, vec_of in ((regular_basis, marked_vec), (corrected_basis, corrected_vec)):
         for n, q, size in ((5, 2, 2), (4, 2, 1), (12, 3, 7)):
             rb = build(n, q)
-            assert rb.matrix.nrows == rb.matrix.ncols == size
-            identity = BitMatrix.from_columns([1 << i for i in range(size)], size)
-            assert rb.matrix @ rb.inverse == identity
+            assert len(rb.shapes) == rb.slice.dim == size
+            for mp in rb.shapes:
+                assert rb.terms(vec_of(mp)) == [mp]
+
+
+def test_wedge_basis_rejects_a_dependent_wedge():
+    first, second = marked_regular_partitions(5, 2, 1)
+    with pytest.raises(ValueError, match=re.escape(f"wedge of {second} depends")):
+        WedgeBasis(5, 2, lambda mp: marked_vec(first))
+
+
+def test_wedge_basis_rejects_a_collapsed_wedge():
+    zero = marked_regular_partitions(12, 3, 1)[3]
+    with pytest.raises(ValueError, match=re.escape(f"wedge of {zero} collapsed")):
+        WedgeBasis(12, 3, lambda mp: 0 if mp == zero else marked_vec(mp))
+
+
+def test_wedge_bases_round_trip_block_vectors():
+    rng = random.Random(21)
+    for build, vec_of in ((regular_basis, marked_vec), (corrected_basis, corrected_vec)):
+        for n in range(1, 17):
+            for q in range(1, max_length(1, n) + 1):
+                rb = build(n, q)
+                for _ in range(4):
+                    v = rng.getrandbits(rb.slice.dim)
+                    total = 0
+                    for mp in rb.terms(v):
+                        total ^= vec_of(mp)
+                    assert total == v, (n, q, v)
 
 
 def test_decompose_gap_one_pair():

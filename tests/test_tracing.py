@@ -21,6 +21,10 @@ tracing.install(tracer)
 import io
 from wittcoh import cli, cohomology, conjecture, monomials, verify
 from wittcoh.partitions import marked_regular_partitions
+from wittcoh.gf2 import BitMatrix
+m = BitMatrix(2, 2, [0b01, 0b11])
+assert m @ m.inverse() == BitMatrix(2, 2, [0b01, 0b10])
+assert m.solve(0b11) is not None
 assert cli.main(["dims", "--n-max", "10", "--format", "json"], io.StringIO(), io.StringIO()) == 0
 a = cohomology.class_of(monomials.y_cocycle(2))
 cohomology.cup(a, a)
@@ -55,6 +59,7 @@ def test_tracer_installs_and_reports_every_layer():
         "cohomology.class_of_calls",
         "cohomology.cup_calls",
         "gf2.kernel_calls",
+        "gf2.solve_calls",
         "gf2.inverse_calls",
         "gf2.span_adds",
         "partitions.enum_calls",
