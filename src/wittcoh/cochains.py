@@ -17,7 +17,8 @@ The complex splits into finite blocks by degree n (index sum) and length q;
 ``graded_slice`` materializes one block's monomial basis together with the
 matrix of the coboundary into the next block, and ``wedge_coords``, the
 product behind ``cup``, wedges two blocks' vectors in those coordinates.
-One enumeration pass gives a block's monomials and their index masks
+``SliceBasis`` is a labelled basis of a block modulo an image.  One
+enumeration pass gives a block's monomials and their index masks
 (``_monomials``), and each generator's coboundary on index masks is
 memoized once per minimal index (``_pair_masks``).
 """
@@ -26,10 +27,10 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .caching import cached, clear_all
-from .gf2 import BitMatrix
+from .gf2 import BitMatrix, Gf2Span
 
 Monomial = tuple[int, ...]
 
@@ -258,6 +259,50 @@ class GradedSlice:
 
     def __repr__(self) -> str:
         return f"GradedSlice(k={self.k}, n={self.n}, q={self.q}, dim={self.dim})"
+
+
+class SliceBasis:
+    """Labelled vectors of one slice, independent modulo an image.
+
+    ``span`` is the augmented matrix [A | I] with ``dim`` tag bits: each
+    image vector enters untagged and vector j as ``v << dim | 1 << j``, so
+    a vector of the span of both reduces to its tag bits, its coordinates.
+    Building raises on a vector that depends on the image and the earlier
+    vectors."""
+
+    __slots__ = ("slice", "labels", "vecs", "image_vecs", "span", "dim")
+
+    def __init__(self, slice: GradedSlice, labels: Sequence, vecs: Sequence[int], image_vecs: Sequence[int] = ()):
+        dim = len(vecs)
+        span = Gf2Span((w << dim for w in image_vecs), width=dim)
+        for j, (label, v) in enumerate(zip(labels, vecs, strict=True)):
+            if not span.add(v << dim | 1 << j):
+                raise ValueError(f"vector {label} depends on the image and the earlier vectors in {slice}")
+        self.slice = slice
+        self.labels = labels
+        self.vecs = vecs
+        self.image_vecs = image_vecs
+        self.span = span
+        self.dim = dim
+
+    @property
+    def representatives(self) -> tuple[Cochain, ...]:
+        return tuple(self.slice.cochain(v) for v in self.vecs)
+
+    def coords(self, vec: int) -> int:
+        """The tag bits of vec: the vectors that sum to it modulo the image."""
+        x = self.span.reduce(vec << self.dim)
+        if x >> self.dim:
+            raise ValueError(f"vector outside the span of the basis and the image in {self.slice}")
+        return x
+
+    def terms(self, vec: int) -> list:
+        """The labels of the vectors that sum to vec modulo the image."""
+        return _at_bits(self.labels, self.coords(vec))
+
+    def decompose(self, c: Cochain) -> dict:
+        """The labels of the vectors that sum to c, a cochain of this block."""
+        return dict.fromkeys(self.terms(self.slice.coords(c)), 1)
 
 
 @cached

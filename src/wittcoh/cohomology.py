@@ -2,12 +2,14 @@
 
 Every block (k, n, q) is finite, so kernels and images of the coboundary are
 computed exactly over GF(2).  A dimension needs only the ranks of the two
-coboundaries at the block.  The representatives of a cohomology basis are
-the kernel vectors of the slice's cleared elimination, in the fixed monomial
-order — deterministic by construction.  ``cup`` wedges two representatives
-as vectors of index masks (``cochains.wedge_coords``) and reads the class of
-the product vector the way ``class_of`` reads a cochain's, so the tuple path
-``class_of(wedge(...))`` is an independent check of it.
+coboundaries at the block.  A cohomology basis is a ``cochains.SliceBasis``
+labelled 0..dim-1 modulo the image of the incoming coboundary.  Its vectors,
+the representatives, are the kernel vectors of the slice's cleared
+elimination, in the fixed monomial order — deterministic by construction.
+``cup`` wedges two representatives as vectors of index masks
+(``cochains.wedge_coords``) and reads the class of the product vector the
+way ``class_of`` reads a cochain's, so the tuple path ``class_of(wedge(...))``
+is an independent check of it.
 
 The module also computes the predictions that the CLI and the ``verify``
 suites compare against:
@@ -28,14 +30,13 @@ from dataclasses import dataclass
 from .caching import cached
 from .cochains import (
     Cochain,
-    GradedSlice,
+    SliceBasis,
     generator,
     graded_slice,
     max_length,
     wedge,
     wedge_coords,
 )
-from .gf2 import Gf2Span
 from .partitions import cohomology_partitions, leading_parts
 
 
@@ -66,58 +67,24 @@ class CohomologyClass:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class CohomologyBasis:
-    """Representatives of one block's cohomology and the span that reads a
-    cocycle's class.
-
-    ``span`` is the augmented matrix [A | I] over whole vectors, with ``dim``
-    tag bits: each image vector enters untagged and representative j with
-    tag bit j.  Together they span the kernel, so a cocycle reduces to its
-    tag bits alone, and those are its coordinates.
-    """
-
-    slice: GradedSlice
-    rep_vecs: list[int]
-    image_vecs: list[int]
-    span: Gf2Span
-
-    @property
-    def dim(self) -> int:
-        return len(self.rep_vecs)
-
-    @property
-    def representatives(self) -> tuple[Cochain, ...]:
-        return tuple(self.slice.cochain(v) for v in self.rep_vecs)
-
-    def class_coords(self, vec: int) -> tuple[int, ...]:
-        """Express a kernel vector modulo the image; unique by construction."""
-        x = self.span.reduce(vec << self.dim)
-        return tuple((x >> j) & 1 for j in range(self.dim))
-
-
 @cached
-def cohomology_basis(k: int, n: int, q: int) -> CohomologyBasis:
-    """Representatives: the kernel vectors of the slice's cleared pass.
+def cohomology_basis(k: int, n: int, q: int) -> SliceBasis:
+    """Representatives: the kernel vectors of the slice's cleared pass,
+    labelled 0..dim-1, modulo the pivot columns of slice q-1.
 
     In the span the image leads at slice q-1's leading rows, the cleared
     columns, and each kernel vector's top bit is its own uncleared free
-    column.  So every kernel vector enlarges the span and is kept, and a
-    cocycle's reduction never stops above the tag bits."""
+    column.  So every kernel vector enlarges the span, and a cocycle's
+    reduction never stops above the tag bits."""
     if q < 1:
         raise ValueError("cohomology lives in lengths >= 1")
     dim = cohomology_dim(k, n, q)  # raises unless the image lies in the kernel
     sl = graded_slice(k, n, q)
-    rep_vecs = sl.delta.kernel_basis(sl.cleared)
-    # the image of the incoming coboundary: the pivot columns of slice q-1
-    image_vecs = graded_slice(k, n, q - 1).image_basis() if q > 1 else []
-    if len(rep_vecs) != dim:
+    vecs = sl.delta.kernel_basis(sl.cleared)
+    if len(vecs) != dim:
         raise ValueError(f"representatives disagree with the ranks at (k={k}, n={n}, q={q})")
-    span = Gf2Span((w << dim for w in image_vecs), width=dim)
-    for j, v in enumerate(rep_vecs):
-        if not span.add(v << dim | 1 << j):
-            raise ValueError(f"kernel vector {j} dependent modulo the image at (k={k}, n={n}, q={q})")
-    return CohomologyBasis(sl, rep_vecs, image_vecs, span)
+    image_vecs = graded_slice(k, n, q - 1).image_basis() if q > 1 else []
+    return SliceBasis(sl, range(dim), vecs, image_vecs)
 
 
 @cached
@@ -157,10 +124,16 @@ def class_of(c: Cochain, k: int = 1, n: int | None = None, q: int | None = None)
     vec = basis.slice.coords(c)
     if basis.slice.delta.mul_vec(vec):
         raise NotACocycleError(f"cochain {c} is not closed at minimal index {k}")
-    return CohomologyClass(k, n, q, basis.class_coords(vec))
+    return _class(basis, vec)
 
 
-def _rep_vec(cls: CohomologyClass) -> tuple[CohomologyBasis, int]:
+def _class(basis: SliceBasis, cocycle: int) -> CohomologyClass:
+    """The class of a cocycle, a vector of the basis's block."""
+    x, sl = basis.coords(cocycle), basis.slice
+    return CohomologyClass(sl.k, sl.n, sl.q, tuple((x >> j) & 1 for j in range(basis.dim)))
+
+
+def _rep_vec(cls: CohomologyClass) -> tuple[SliceBasis, int]:
     """The block's basis and the slice vector of the class's representative."""
     basis = cohomology_basis(cls.k, cls.n, cls.q)
     if len(cls.coords) != basis.dim:
@@ -168,7 +141,7 @@ def _rep_vec(cls: CohomologyClass) -> tuple[CohomologyBasis, int]:
     vec = 0
     for j, bit in enumerate(cls.coords):
         if bit:
-            vec ^= basis.rep_vecs[j]
+            vec ^= basis.vecs[j]
     return basis, vec
 
 
@@ -197,7 +170,7 @@ def cup(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
     basis = cohomology_basis(k, n, q)
     if basis.slice.delta.mul_vec(vec):
         raise NotACocycleError(f"the product of {a} and {b} is not closed at minimal index {k}")
-    return CohomologyClass(k, n, q, basis.class_coords(vec))
+    return _class(basis, vec)
 
 
 # ---------------------------------------------------------------------------

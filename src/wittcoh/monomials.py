@@ -24,7 +24,8 @@ Both wedges exist twice: as tuple cochains (``marked_wedge``,
 factors' monomials, memoized per factor (a marked part's are its
 ``cochains._pair_masks``).  The bases and the verify suites read the
 vectors; the cochains are the library's readable form and the tests'
-reference.
+reference.  Both bases of a block are a ``cochains.SliceBasis`` labelled by
+the regular marked partitions, with no image.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Callable
 from .caching import cached
 from .cochains import (
     Cochain,
-    _at_bits,
+    SliceBasis,
     _index_mask,
     _monomials,
     _pair_masks,
@@ -43,7 +44,6 @@ from .cochains import (
     graded_slice,
     wedge,
 )
-from .gf2 import Gf2Span
 from .partitions import (
     MarkedPartition,
     Partition,
@@ -125,51 +125,26 @@ def marked_vec(mp: MarkedPartition) -> int:
     return _product(factors, mp.degree, mp.length)
 
 
-class WedgeBasis:
-    """One basis of the (n, q) block at minimal index 1, indexed by the regular
-    marked partitions.
-
-    ``vec_of`` maps a shape to its wedge as a vector of the block.  Wedge j
-    enters ``span`` as ``vec << dim | 1 << j``, as in [W | I], so a vector
-    reduces to the tag bits of the wedges that sum to it.  Building raises
-    unless there are as many shapes as monomials and each wedge is nonzero
-    and independent of the ones before it.
-    """
-
-    __slots__ = ("shapes", "span", "slice")
-
-    def __init__(self, n: int, q: int, vec_of: Callable[[MarkedPartition], int]):
-        sl = graded_slice(1, n, q)
-        dim = sl.dim
-        shapes = tuple(marked_regular_partitions(n, q, 1))
-        if len(shapes) != dim:
-            raise ValueError(
-                f"regular marked count {len(shapes)} != monomial dimension {dim} at (n={n}, q={q})"
-            )
-        span = Gf2Span(width=dim)
-        for j, mp in enumerate(shapes):
-            value = vec_of(mp)
-            if not value:
-                raise ValueError(f"wedge of {mp} collapsed to zero")
-            if not span.add(value << dim | 1 << j):
-                raise ValueError(f"wedge of {mp} depends on the earlier wedges at (n={n}, q={q})")
-        self.shapes = shapes
-        self.span = span
-        self.slice = sl
-
-    def terms(self, vec: int) -> list[MarkedPartition]:
-        """The shapes whose wedges sum to vec, a vector of this block."""
-        return _at_bits(self.shapes, self.span.reduce(vec << self.slice.dim))
-
-    def decompose(self, c: Cochain) -> dict[MarkedPartition, int]:
-        """The shapes whose wedges sum to c, a cochain of this block."""
-        return dict.fromkeys(self.terms(self.slice.coords(c)), 1)
+def _wedge_basis(n: int, q: int, vec_of: Callable[[MarkedPartition], int]) -> SliceBasis:
+    """The wedges ``vec_of`` of the regular marked partitions of (n, q), a
+    basis of the block at minimal index 1.  Raises unless there is one shape
+    per monomial and every wedge is nonzero and independent."""
+    sl = graded_slice(1, n, q)
+    shapes = tuple(marked_regular_partitions(n, q, 1))
+    if len(shapes) != sl.dim:
+        raise ValueError(
+            f"regular marked count {len(shapes)} != monomial dimension {sl.dim} at (n={n}, q={q})"
+        )
+    vecs = [vec_of(mp) for mp in shapes]
+    if 0 in vecs:
+        raise ValueError(f"wedge of {shapes[vecs.index(0)]} collapsed to zero")
+    return SliceBasis(sl, shapes, vecs)
 
 
 @cached
-def regular_basis(n: int, q: int) -> WedgeBasis:
+def regular_basis(n: int, q: int) -> SliceBasis:
     """Marked wedges of all regular marked partitions of (n, q)."""
-    return WedgeBasis(n, q, marked_vec)
+    return _wedge_basis(n, q, marked_vec)
 
 
 def decompose(c: Cochain) -> dict[MarkedPartition, int]:
@@ -266,9 +241,9 @@ def predicted_coboundary(mp: MarkedPartition) -> Cochain:
 
 
 @cached
-def corrected_basis(n: int, q: int) -> WedgeBasis:
+def corrected_basis(n: int, q: int) -> SliceBasis:
     """Corrected wedges of all regular marked partitions of (n, q)."""
-    return WedgeBasis(n, q, corrected_vec)
+    return _wedge_basis(n, q, corrected_vec)
 
 
 def decompose_corrected(c: Cochain) -> dict[MarkedPartition, int]:

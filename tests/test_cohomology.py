@@ -114,7 +114,7 @@ def test_single_pass_matches_two_pass_reference(ascending):
             lengths = range(1, max_length(k, n) + 1)
             for q in lengths if ascending else reversed(lengths):
                 basis = cohomology_basis(k, n, q)
-                assert (basis.image_vecs, basis.rep_vecs) == two_pass_reference(k, n, q), (k, n, q)
+                assert (basis.image_vecs, basis.vecs) == two_pass_reference(k, n, q), (k, n, q)
 
 
 def test_image_in_kernel_check_catches_corruption():
@@ -192,7 +192,7 @@ def test_clearing_is_exact(dim_first):
         assert cleared.bit_count() == (graded_slice(k, n, q - 1).rank if q > 1 else 0)
         kernel = sl.delta.kernel_basis(cleared)
         assert kernel == [v for v in sl.delta.kernel_basis() if not top_bit_in(cleared, v)], (k, n, q)
-        assert not any(top_bit_in(cleared, v) for v in cohomology_basis(k, n, q).rep_vecs)
+        assert not any(top_bit_in(cleared, v) for v in cohomology_basis(k, n, q).vecs)
 
 
 def test_pivot_masks_stay_exact_on_a_corrupted_complex():
@@ -220,7 +220,7 @@ def test_class_of_reads_the_tagged_span():
             for q in range(1, max_length(k, n) + 1):
                 basis = cohomology_basis(k, n, q)
                 unit = [tuple(int(i == j) for i in range(basis.dim)) for j in range(basis.dim)]
-                for j, rep in enumerate(basis.rep_vecs):
+                for j, rep in enumerate(basis.vecs):
                     vec = rep
                     for col in basis.image_vecs:
                         if rng.random() < 0.5:
@@ -228,7 +228,7 @@ def test_class_of_reads_the_tagged_span():
                     assert class_of(basis.slice.cochain(vec), k).coords == unit[j], (k, n, q, j)
                 for i in range(basis.dim):
                     for j in range(i + 1, basis.dim):
-                        vec = basis.rep_vecs[i] ^ basis.rep_vecs[j]
+                        vec = basis.vecs[i] ^ basis.vecs[j]
                         want = tuple(a ^ b for a, b in zip(unit[i], unit[j]))
                         assert class_of(basis.slice.cochain(vec), k).coords == want, (k, n, q, i, j)
 
@@ -312,8 +312,8 @@ def test_cup_representative_independent():
     for _ in range(60):
         (n1, q1), (n2, q2) = rng.choice(cells), rng.choice(cells)
         b1, b2 = cohomology_basis(1, n1, q1), cohomology_basis(1, n2, q2)
-        cls1 = class_of(b1.slice.cochain(rng.choice(b1.rep_vecs)), 1)
-        cls2 = class_of(b2.slice.cochain(rng.choice(b2.rep_vecs)), 1)
+        cls1 = class_of(b1.slice.cochain(rng.choice(b1.vecs)), 1)
+        cls2 = class_of(b2.slice.cochain(rng.choice(b2.vecs)), 1)
         vec = b1.slice.coords(representative(cls1))
         for col in b1.image_vecs:
             if rng.random() < 0.5:

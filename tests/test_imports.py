@@ -50,3 +50,15 @@ def test_only_gf2_reads_inverse_or_solve():
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Attribute):
                 assert node.attr not in {"inverse", "solve"}, (path.name, node.lineno)
+
+
+def test_only_gf2_and_cochains_build_tagged_spans():
+    # a tagged span is the augmented matrix of a kernel pass (gf2) or of a
+    # basis (cochains.SliceBasis); every other module reads one of those
+    for path in SOURCES:
+        if path.name in {"gf2.py", "cochains.py"}:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("Gf2Span"):
+                tagged = len(node.args) > 1 or any(kw.arg in {"width", None} for kw in node.keywords)
+                assert not tagged, (path.name, node.lineno)

@@ -9,6 +9,7 @@ from conftest import M, P
 from wittcoh import cochains, conjecture, monomials, partitions
 from wittcoh.cochains import (
     Cochain,
+    SliceBasis,
     coboundary,
     corrupted_generator,
     generator,
@@ -16,8 +17,8 @@ from wittcoh.cochains import (
     max_length,
     wedge,
 )
+from wittcoh.cohomology import cohomology_basis
 from wittcoh.monomials import (
-    WedgeBasis,
     corrected_basis,
     corrected_vec,
     corrected_wedge,
@@ -191,21 +192,26 @@ def test_regular_basis_shapes():
     for build, vec_of in ((regular_basis, marked_vec), (corrected_basis, corrected_vec)):
         for n, q, size in ((5, 2, 2), (4, 2, 1), (12, 3, 7)):
             rb = build(n, q)
-            assert len(rb.shapes) == rb.slice.dim == size
-            for mp in rb.shapes:
+            assert len(rb.labels) == rb.slice.dim == size
+            for mp in rb.labels:
                 assert rb.terms(vec_of(mp)) == [mp]
 
 
 def test_wedge_basis_rejects_a_dependent_wedge():
     first, second = marked_regular_partitions(5, 2, 1)
-    with pytest.raises(ValueError, match=re.escape(f"wedge of {second} depends")):
-        WedgeBasis(5, 2, lambda mp: marked_vec(first))
+    with pytest.raises(ValueError, match=re.escape(f"vector {second} depends")):
+        monomials._wedge_basis(5, 2, lambda mp: marked_vec(first))
+    # a vector in the span of the image is rejected under its own label
+    sl, image = graded_slice(1, 9, 3), graded_slice(1, 9, 2).image_basis()
+    kernel = sl.delta.kernel_basis(sl.cleared)
+    with pytest.raises(ValueError, match=re.escape("vector boundary depends") + ".*k=1, n=9, q=3"):
+        SliceBasis(sl, ("cocycle", "boundary"), [kernel[0], image[0] ^ image[-1]], image)
 
 
 def test_wedge_basis_rejects_a_collapsed_wedge():
     zero = marked_regular_partitions(12, 3, 1)[3]
     with pytest.raises(ValueError, match=re.escape(f"wedge of {zero} collapsed")):
-        WedgeBasis(12, 3, lambda mp: 0 if mp == zero else marked_vec(mp))
+        monomials._wedge_basis(12, 3, lambda mp: 0 if mp == zero else marked_vec(mp))
 
 
 def test_wedge_bases_round_trip_block_vectors():
@@ -220,6 +226,26 @@ def test_wedge_bases_round_trip_block_vectors():
                     for mp in rb.terms(v):
                         total ^= vec_of(mp)
                     assert total == v, (n, q, v)
+    # a cohomology basis reads the chosen representatives through any
+    # coboundary added to their sum
+    for k in (-1, 0, 1, 2):
+        for n in range(k, 17):
+            for q in range(1, max_length(k, n) + 1):
+                basis = cohomology_basis(k, n, q)
+                for _ in range(4):
+                    chosen = [j for j in range(basis.dim) if rng.random() < 0.5]
+                    v = 0
+                    for j in chosen:
+                        v ^= basis.vecs[j]
+                    for w in basis.image_vecs:
+                        if rng.random() < 0.5:
+                            v ^= w
+                    assert basis.terms(v) == chosen, (k, n, q, chosen)
+    # a vector that is not closed has no coordinates
+    sl = graded_slice(1, 9, 2)
+    unclosed = next(1 << j for j, col in enumerate(sl.delta.columns()) if col)
+    with pytest.raises(ValueError, match="outside the span"):
+        cohomology_basis(1, 9, 2).terms(unclosed)
 
 
 def test_decompose_gap_one_pair():

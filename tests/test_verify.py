@@ -44,3 +44,14 @@ def test_check_counts_match_the_benchmark_reference():
     results = verify.run_suites(n_max=24)
     assert all(r.passed for r in results), [r.summary() for r in results if not r.passed]
     assert {r.name: r.checked for r in results} == want
+
+
+def test_wedge_basis_suite_skips_a_singular_block_and_runs_on():
+    # a singular block is reported and its shapes are skipped, so the
+    # suite returns and goes on to report the later degrees
+    with corrupted_generator(7):
+        res = verify.criterion_wedge_basis(14)
+    assert not res.passed
+    assert not any(f.startswith("aborted:") for f in res.failures)
+    assert any(f.startswith("(n=7, q=2): ") for f in res.failures)
+    assert any(f.startswith("(n=8, ") for f in res.failures)
