@@ -47,7 +47,7 @@ from .cochains import (
 from .partitions import (
     MarkedPartition,
     Partition,
-    canonical_decomposition,
+    _split,
     is_dense,
     is_odd,
     is_regular_marked,
@@ -182,20 +182,20 @@ def simple_corrected(p: Partition, marked: bool = False) -> Cochain | None:
     return out
 
 
-def _marked_components(mp: MarkedPartition) -> list[tuple[Partition, bool]]:
-    """The simple components of a regular marked partition, each with whether
-    its leading part is marked."""
+def _marked_split(mp: MarkedPartition) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The simple components and the leading parts of the base of a regular
+    marked partition, as part tuples; a component is marked when its first
+    part is."""
     if not is_regular_marked(mp, 1):
         raise ValueError(f"{mp} is not a regular marked partition")
-    marked = set(mp.marks)
-    return [(comp, comp.parts[0] in marked) for comp in canonical_decomposition(mp.base, 1)]
+    return _split(mp.base.parts, 1)
 
 
 def corrected_wedge(mp: MarkedPartition) -> Cochain:
     """Corrected wedge of a regular marked partition (product over components)."""
     out = Cochain.unit()
-    for comp, marked in _marked_components(mp):
-        factor = simple_corrected(comp, marked)
+    for comp in _marked_split(mp)[0]:
+        factor = simple_corrected(Partition(comp), comp[0] in mp.marks)
         assert factor is not None  # marks sit on odd non-special components only
         out = wedge(out, factor)
     assert out, f"corrected wedge of {mp} collapsed"
@@ -203,9 +203,10 @@ def corrected_wedge(mp: MarkedPartition) -> Cochain:
 
 
 @cached
-def _component_masks(p: Partition, marked: bool) -> tuple[int, ...]:
-    """The index masks of the monomials of ``simple_corrected(p, marked)``."""
-    factor = simple_corrected(p, marked)
+def _component_masks(comp: tuple[int, ...], marked: bool) -> tuple[int, ...]:
+    """The index masks of the monomials of ``simple_corrected`` of the
+    component with parts comp; memoized per part tuple."""
+    factor = simple_corrected(Partition(comp), marked)
     assert factor is not None  # marks sit on odd non-special components only
     return tuple(_index_mask(mono, 1) for mono in factor.terms)
 
@@ -214,7 +215,7 @@ def _component_masks(p: Partition, marked: bool) -> tuple[int, ...]:
 def corrected_vec(mp: MarkedPartition) -> int:
     """``corrected_wedge(mp)`` as a vector of its (degree, length) block;
     memoized per marked partition."""
-    factors = [_component_masks(comp, marked) for comp, marked in _marked_components(mp)]
+    factors = [_component_masks(comp, comp[0] in mp.marks) for comp in _marked_split(mp)[0]]
     vec = _product(factors, mp.degree, mp.length)
     assert vec, f"corrected wedge of {mp} collapsed"
     return vec
@@ -223,11 +224,12 @@ def corrected_vec(mp: MarkedPartition) -> int:
 def marked_variants(mp: MarkedPartition) -> list[MarkedPartition]:
     """The shapes of the closed form of the coboundary of a corrected wedge:
     mp with one more mark, on an unmarked odd non-special component of odd
-    length."""
+    length (one whose first part is an unmarked leading part)."""
+    comps, leads = _marked_split(mp)
     return [
-        MarkedPartition(mp.base, tuple(sorted(mp.marks + (comp.parts[0],))))
-        for comp, marked in _marked_components(mp)
-        if not marked and comp.length % 2 == 1 and is_odd(comp) and not is_special(comp, 1)
+        MarkedPartition(mp.base, tuple(sorted(mp.marks + (comp[0],))))
+        for comp in comps
+        if len(comp) % 2 == 1 and comp[0] in leads and comp[0] not in mp.marks
     ]
 
 

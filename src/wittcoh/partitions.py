@@ -47,6 +47,18 @@ class Partition:
         object.__setattr__(self, "degree", sum(parts))
         object.__setattr__(self, "length", len(parts))
 
+    @classmethod
+    def _unchecked(cls, parts: tuple[int, ...]) -> Partition:
+        """A partition of a part tuple known to be valid, without the checks.
+
+        Set field by field, as ``__post_init__`` does: writing through
+        ``__dict__`` would give each instance its own dict, twice the size."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "parts", parts)
+        object.__setattr__(p, "degree", sum(parts))
+        object.__setattr__(p, "length", len(parts))
+        return p
+
     def __str__(self) -> str:
         return "<" + ",".join(map(str, self.parts)) + ">"
 
@@ -70,6 +82,16 @@ class MarkedPartition:
                 raise ValueError(f"marks not strictly increasing: {marks}")
         object.__setattr__(self, "degree", self.base.degree)
         object.__setattr__(self, "length", self.base.length + len(marks))
+
+    @classmethod
+    def _unchecked(cls, base: Partition, marks: tuple[int, ...]) -> MarkedPartition:
+        """A marked partition of marks known to be valid, without the checks."""
+        mp = object.__new__(cls)
+        object.__setattr__(mp, "base", base)
+        object.__setattr__(mp, "marks", marks)
+        object.__setattr__(mp, "degree", base.degree)
+        object.__setattr__(mp, "length", base.length + len(marks))
+        return mp
 
     def __str__(self) -> str:
         marked = set(self.marks)
@@ -123,14 +145,9 @@ def is_odd(p: Partition) -> bool:
     return all(x % 2 == 1 for x in p.parts)
 
 
-def _require_regular(p: Partition, k: int) -> None:
-    _require_min_part(p, k)
-    if not is_regular(p):
-        raise ValueError(f"{p} is not regular")
-
-
 def _components(parts: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
-    """The canonical decomposition of a regular part tuple, in one scan.
+    """The canonical decomposition of a regular part tuple, in one scan; the
+    empty tuple has no components.
 
     A simple component grown by a gap of exactly 2 stays simple: a dense one
     stays dense, and a special one stays special, as its bound
@@ -144,8 +161,32 @@ def _components(parts: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
         if parts[i] - parts[i - 1] != 2 and parts[i] >= 2 * (k + i - start):
             out.append(parts[start:i])
             start = i
-    out.append(parts[start:])
+    if parts:
+        out.append(parts[start:])
     return out
+
+
+def _leading(comps: list[tuple[int, ...]], k: int) -> list[int]:
+    return [c[0] for c in comps if not _special_parts(c, k) and all(x % 2 for x in c)]
+
+
+@cached
+def _split(parts: tuple[int, ...], k: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None:
+    """The simple components and the leading parts of a part tuple; None
+    unless it is nonempty and regular with every part >= k.  Memoized per
+    key, so each shape is split once."""
+    if not parts or parts[0] < k or any(b - a < 2 for a, b in zip(parts, parts[1:])):
+        return None
+    comps = _components(parts, k)
+    return tuple(comps), tuple(_leading(comps, k))
+
+
+def _checked_split(p: Partition, k: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    split = _split(p.parts, k)
+    if split is None:
+        _require_min_part(p, k)
+        raise ValueError(f"{p} is not regular")
+    return split
 
 
 def canonical_decomposition(p: Partition, k: int = 1) -> list[Partition]:
@@ -154,25 +195,17 @@ def canonical_decomposition(p: Partition, k: int = 1) -> list[Partition]:
     Greedy from the left: every prefix of a simple partition is simple, so
     taking the longest simple prefix at each step is well defined.
     """
-    _require_regular(p, k)
-    return [Partition(c) for c in _components(p.parts, k)]
+    return [Partition._unchecked(c) for c in _checked_split(p, k)[0]]
 
 
 def leading_parts(p: Partition, k: int = 1) -> list[int]:
     """Minimal parts of the odd non-special simple components."""
-    _require_regular(p, k)
-    return _leading(_components(p.parts, k), k)
-
-
-def _leading(comps: list[tuple[int, ...]], k: int) -> list[int]:
-    return [c[0] for c in comps if not _special_parts(c, k) and all(x % 2 for x in c)]
+    return list(_checked_split(p, k)[1])
 
 
 def is_regular_marked(mp: MarkedPartition, k: int = 1) -> bool:
-    base = mp.base
-    if base.length == 0 or base.parts[0] < max(k, 1) or not is_regular(base):
-        return False
-    return set(mp.marks) <= set(leading_parts(base, k))
+    split = _split(mp.base.parts, k)
+    return split is not None and all(m in split[1] for m in mp.marks)
 
 
 class Order(enum.Enum):
@@ -191,27 +224,27 @@ def compare(a: MarkedPartition, b: MarkedPartition) -> Order:
     """
     if a.degree != b.degree:
         raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
-    if a == b:
-        return Order.EQUAL
-    if a.base != b.base:
-        la, lb = a.base.length, b.base.length
-        if la != lb:
-            return Order.LESS if la < lb else Order.GREATER
-        below = above = True
-        sa = sb = 0
-        for xa, xb in zip(a.base.parts, b.base.parts):
-            sa += xa
-            sb += xb
-            if sa > sb:
-                below = False
-            if sa < sb:
-                above = False
-        if below:
-            return Order.LESS
-        if above:
-            return Order.GREATER
-        return Order.INCOMPARABLE
-    return Order.LESS if a.marks < b.marks else Order.GREATER
+    pa, pb = a.base.parts, b.base.parts
+    if pa == pb:
+        if a.marks == b.marks:
+            return Order.EQUAL
+        return Order.LESS if a.marks < b.marks else Order.GREATER
+    if len(pa) != len(pb):
+        return Order.LESS if len(pa) < len(pb) else Order.GREATER
+    below = above = True
+    sa = sb = 0
+    for xa, xb in zip(pa, pb):
+        sa += xa
+        sb += xb
+        if sa > sb:
+            below = False
+        elif sa < sb:
+            above = False
+    if below:
+        return Order.LESS
+    if above:
+        return Order.GREATER
+    return Order.INCOMPARABLE
 
 
 def union(a: Partition, b: Partition) -> Partition:
@@ -263,8 +296,11 @@ def strict_index_tuples(n: int, q: int, min_index: int) -> list[tuple[int, ...]]
 @cached
 def _partitions(n: int, q: int, lowest: int, gap: int) -> tuple[Partition, ...]:
     """The partitions of n into q parts, the least at least `lowest`, with
-    successive parts at least `gap` apart; memoized per key."""
-    return tuple(Partition(t) for t in ascending_tuples(n, q, lowest, gap))
+    successive parts at least `gap` apart; memoized per key.  A valid key
+    makes every tuple a valid partition, so none is checked again."""
+    if lowest < 1 or gap < 0:
+        raise ValueError(f"partitions need lowest >= 1 and gap >= 0, not {lowest} and {gap}")
+    return tuple(map(Partition._unchecked, ascending_tuples(n, q, lowest, gap)))
 
 
 def strict_partitions(n: int, q: int, min_part: int = 1) -> list[Partition]:
@@ -309,7 +345,7 @@ def _marked(n: int, q: int, k: int, even_only: bool) -> list[MarkedPartition]:
     for m in range((q + 1) // 2, q + 1):
         for base, leads, even in _bases_and_leads(n, m, k):
             if even or not even_only:
-                out.extend(MarkedPartition(base, marks) for marks in combinations(leads, q - m))
+                out.extend(MarkedPartition._unchecked(base, marks) for marks in combinations(leads, q - m))
     out.sort(key=lambda mp: (mp.base.parts, mp.marks))
     return out
 
@@ -371,11 +407,15 @@ def even_component_marked(n: int, q: int) -> list[MarkedPartition]:
 
 def special_partitions(q: int, k: int) -> list[Partition]:
     """All special k-partitions of length q, by direct enumeration."""
+    return list(map(Partition._unchecked, _special_tuples(q, k)))
+
+
+def _special_tuples(q: int, k: int) -> list[tuple[int, ...]]:
     if q < 1 or k < 1:
         raise ValueError("needs q >= 1 and k >= 1")
     out: list[tuple[int, ...]] = []
     _special(out, (), k, q, 2 * (k + q - 1) - 1)
-    return [Partition(t) for t in out]
+    return out
 
 
 def _special(out: list, prefix: tuple[int, ...], lo: int, slots: int, hi: int) -> None:
@@ -389,4 +429,4 @@ def _special(out: list, prefix: tuple[int, ...], lo: int, slots: int, hi: int) -
 
 
 def count_special(q: int, k: int) -> int:
-    return len(special_partitions(q, k))
+    return len(_special_tuples(q, k))

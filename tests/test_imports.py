@@ -62,3 +62,14 @@ def test_only_gf2_and_cochains_build_tagged_spans():
             if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("Gf2Span"):
                 tagged = len(node.args) > 1 or any(kw.arg in {"width", None} for kw in node.keywords)
                 assert not tagged, (path.name, node.lineno)
+
+
+def test_only_partitions_builds_unchecked_partitions():
+    # `_unchecked` skips the validity checks, so only the enumerators of
+    # partitions.py, whose tuples are valid by construction, may use it
+    for path in SOURCES:
+        if path.name == "partitions.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                assert node.attr != "_unchecked", (path.name, node.lineno)

@@ -193,6 +193,57 @@ def test_is_regular_marked():
     assert not is_regular_marked(M((2, 3)), 1)  # not regular
 
 
+def reference_split(p, k):
+    """Components and leading parts from the definitions: cut off the longest
+    simple (dense or special) prefix until nothing is left.  Raises the
+    library's messages for an empty, low or irregular base."""
+    parts = p.parts
+    if not parts:
+        raise ValueError("operation undefined for the empty partition")
+    if parts[0] < k:
+        raise ValueError(f"{p} has a part below the minimal part {k}")
+    if any(b - a < 2 for a, b in zip(parts, parts[1:])):
+        raise ValueError(f"{p} is not regular")
+
+    def simple(c):
+        dense = all(b - a == 2 for a, b in zip(c, c[1:]))
+        return dense or c[-1] < 2 * (k + len(c) - 1)  # special, as c is regular
+
+    comps = []
+    while parts:
+        end = max(e for e in range(1, len(parts) + 1) if simple(parts[:e]))
+        comps.append(parts[:end])
+        parts = parts[end:]
+    leads = [c[0] for c in comps if all(x % 2 for x in c) and not c[-1] < 2 * (k + len(c) - 1)]
+    return comps, leads
+
+
+def test_split_matches_the_definitions_on_every_partition():
+    for k in (1, 2, 3):
+        for n in range(0, 21):
+            for q in range(0, n + 1):
+                for p in all_partitions(n, q):
+                    try:
+                        comps, leads = reference_split(p, k)
+                    except ValueError as exc:
+                        for split in (canonical_decomposition, leading_parts):
+                            with pytest.raises(ValueError) as got:
+                                split(p, k)
+                            assert str(got.value) == str(exc), (p, k)
+                        comps, leads = None, []
+                    else:
+                        got = canonical_decomposition(p, k)
+                        assert got == [Partition(c) for c in comps], (p, k)
+                        for c in got:
+                            assert_same_as_checked(c)
+                        assert leading_parts(p, k) == leads, (p, k)
+                    distinct = sorted(set(p.parts))
+                    for r in range(len(distinct) + 1):
+                        for marks in combinations(distinct, r):
+                            expected = comps is not None and set(marks) <= set(leads)
+                            assert is_regular_marked(MarkedPartition(p, marks), k) is expected
+
+
 # --- the triangular order ---------------------------------------------------
 
 
@@ -216,6 +267,33 @@ def test_compare_equal():
     assert compare(M((2, 3)), M((2, 3))) is Order.EQUAL
 
 
+def reference_compare(a, b):
+    """The order as first written, on the dataclasses' own equality."""
+    if a.degree != b.degree:
+        raise ValueError(f"degree mismatch: {a.degree} vs {b.degree}")
+    if a == b:
+        return Order.EQUAL
+    if a.base != b.base:
+        la, lb = a.base.length, b.base.length
+        if la != lb:
+            return Order.LESS if la < lb else Order.GREATER
+        below = above = True
+        sa = sb = 0
+        for xa, xb in zip(a.base.parts, b.base.parts):
+            sa += xa
+            sb += xb
+            if sa > sb:
+                below = False
+            if sa < sb:
+                above = False
+        if below:
+            return Order.LESS
+        if above:
+            return Order.GREATER
+        return Order.INCOMPARABLE
+    return Order.LESS if a.marks < b.marks else Order.GREATER
+
+
 def test_order_is_strict_partial_order():
     for n in range(1, 15):
         pool = all_marked(n)
@@ -225,6 +303,7 @@ def test_order_is_strict_partial_order():
         for i, a in enumerate(pool):
             for j, b in enumerate(pool):
                 c = compare(a, b)
+                assert c is reference_compare(a, b), (a, b)
                 if i == j:
                     assert c is Order.EQUAL
                 elif c is Order.LESS:
@@ -362,6 +441,49 @@ def test_even_component_marked_examples():
     ]
 
 
+def test_degree_zero_has_the_empty_marked_partition():
+    for n in range(6):
+        expected = [M(())] if n == 0 else []
+        assert marked_regular_partitions(n, 0) == expected
+        assert even_component_marked(n, 0) == expected
+        assert len(strict_partitions(n, 0)) == len(strict_regular_pairs(n, 0)) == len(expected)
+
+
+def assert_same_as_checked(p):
+    """p equals, hashes and prints as the validating constructor's result,
+    field by field."""
+    if isinstance(p, MarkedPartition):
+        assert_same_as_checked(p.base)
+        checked = MarkedPartition(Partition(p.base.parts), p.marks)
+    else:
+        checked = Partition(p.parts)
+    assert type(p) is type(checked)
+    assert vars(p) == vars(checked)
+    assert (p.degree, p.length) == (checked.degree, checked.length)
+    assert p == checked and hash(p) == hash(checked) and repr(p) == repr(checked)
+
+
+def test_enumerated_partitions_equal_checked_ones():
+    wittcoh.clear_caches()
+    for n in range(31):
+        for q in range(n + 1):
+            for lowest in (1, 2, 3):
+                for gap in (0, 1, 2):
+                    for p in partitions._partitions(n, q, lowest, gap):
+                        assert_same_as_checked(p)
+                for even_only in (False, True):
+                    for mp in partitions._marked(n, q, lowest, even_only):
+                        assert_same_as_checked(mp)
+    for q in range(1, 6):
+        for k in range(1, 5):
+            for p in special_partitions(q, k):
+                assert_same_as_checked(p)
+    with pytest.raises(ValueError):
+        partitions._partitions(5, 2, 0, 1)
+    with pytest.raises(ValueError):
+        partitions._partitions(5, 2, 1, -1)
+
+
 def test_enumerators_return_fresh_lists():
     for enumerate_ in (
         lambda: strict_partitions(12, 3),
@@ -378,7 +500,8 @@ def test_enumerators_return_fresh_lists():
 def test_clear_caches_empties_the_partition_memos():
     marked_regular_partitions(12, 3, 1)
     strict_regular_pairs(12, 3)
-    memos = (partitions._partitions, partitions._bases_and_leads)
+    leading_parts(P(3, 5, 9))
+    memos = (partitions._partitions, partitions._bases_and_leads, partitions._split)
     assert all(memo.cache_info().currsize for memo in memos)
     wittcoh.clear_caches()
     assert not any(memo.cache_info().currsize for memo in memos)
