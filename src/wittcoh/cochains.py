@@ -26,8 +26,7 @@ memoized once per minimal index (``_pair_masks``).
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .caching import cached, clear_all
 from .gf2 import BitMatrix, Gf2Span
@@ -54,9 +53,12 @@ def corrupted_generator(i: int) -> Iterator[None]:
         clear_all()
 
 
-@dataclass(frozen=True)
-class Cochain:
-    """A GF(2) combination of wedge monomials; addition is symmetric difference."""
+class Cochain(NamedTuple):
+    """A GF(2) combination of wedge monomials; addition is symmetric difference.
+
+    A named tuple of one field: immutable, with the tuple's equality and
+    hash.  ``+`` and truth are redefined, so a zero cochain is falsy and a
+    sum is a symmetric difference, not a concatenation."""
 
     terms: frozenset[Monomial] = frozenset()
 
@@ -112,9 +114,14 @@ def generator(i: int) -> Cochain:
 def wedge(a: Cochain, b: Cochain) -> Cochain:
     acc: set[Monomial] = set()
     for m1 in a.terms:
+        s1 = set(m1)
         for m2 in b.terms:
-            if set(m1).isdisjoint(m2):
-                acc ^= {tuple(sorted(m1 + m2))}
+            if s1.isdisjoint(m2):
+                t = tuple(sorted(m1 + m2))
+                if t in acc:  # a GF(2) sum: a second copy cancels the first
+                    acc.discard(t)
+                else:
+                    acc.add(t)
     return Cochain(frozenset(acc))
 
 
@@ -143,7 +150,11 @@ def coboundary(c: Cochain, k: int = 1) -> Cochain:
             rest = mono[:pos] + mono[pos + 1 :]
             for a, b in pairs[idx]:
                 if a not in rest and b not in rest:
-                    acc ^= {tuple(sorted(rest + (a, b)))}
+                    t = tuple(sorted(rest + (a, b)))
+                    if t in acc:
+                        acc.discard(t)
+                    else:
+                        acc.add(t)
     return Cochain(frozenset(acc))
 
 
@@ -159,7 +170,11 @@ def boundary(c: Cochain, k: int = 1) -> Cochain:
                     continue
                 rest = mono[:i] + mono[i + 1 : j] + mono[j + 1 :]
                 if s not in rest:
-                    acc ^= {tuple(sorted(rest + (s,)))}
+                    t = tuple(sorted(rest + (s,)))
+                    if t in acc:
+                        acc.discard(t)
+                    else:
+                        acc.add(t)
     return Cochain(frozenset(acc))
 
 
@@ -175,7 +190,11 @@ def generator_action(r: int, c: Cochain) -> Cochain:
                 raise ValueError(f"shifted index {shifted} below the minimal index 1")
             rest = mono[:pos] + mono[pos + 1 :]
             if shifted not in rest:
-                acc ^= {tuple(sorted(rest + (shifted,)))}
+                t = tuple(sorted(rest + (shifted,)))
+                if t in acc:
+                    acc.discard(t)
+                else:
+                    acc.add(t)
     return Cochain(frozenset(acc))
 
 
@@ -188,12 +207,17 @@ def _index_mask(mono: Monomial, k: int) -> int:
 
 
 def _at_bits(items: tuple, vec: int) -> list:
-    """The items at the set bits of vec, lowest bit first."""
+    """The items at the set bits of vec, lowest bit first.
+
+    Walks top bit first, as ``BitMatrix.mul_vec`` does: clearing the top bit
+    shrinks vec, where isolating the low bit with ``vec & -vec`` builds a
+    full-width negation per bit."""
     out = []
     while vec:
-        low = vec & -vec
-        out.append(items[low.bit_length() - 1])
-        vec ^= low
+        top = vec.bit_length() - 1
+        out.append(items[top])
+        vec ^= 1 << top
+    out.reverse()
     return out
 
 
@@ -209,17 +233,19 @@ class GradedSlice:
     vector r with d_q r = 0, so column t depends on the columns before it,
     and the untagged pass skips it (``cleared``).  The pass gives
     the ``pivots`` (the rest of the columns are free) and the ``leads`` (the
-    leading rows of an echelon basis of the image).  ``coords`` indexes the
-    monomial positions on its first call.
+    leading rows of an echelon basis of the image).  ``masks`` holds the
+    index mask of each basis monomial (``_monomials``' tuple), and ``coords``
+    indexes the monomial positions on its first call.
     """
 
-    __slots__ = ("k", "n", "q", "basis", "delta", "closed", "cleared", "pivots", "leads", "_pos")
+    __slots__ = ("k", "n", "q", "basis", "masks", "delta", "closed", "cleared", "pivots", "leads", "_pos")
 
     def __init__(self, k: int, n: int, q: int, basis: tuple[Monomial, ...], delta: BitMatrix):
         self.k = k
         self.n = n
         self.q = q
         self.basis = basis
+        self.masks = _monomials(k, n, q)[1]
         self.delta = delta
         self.closed, self.cleared = True, 0
         if q > 1 and basis:  # an empty block is a leaf
@@ -384,8 +410,8 @@ def wedge_coords(a: GradedSlice, va: int, b: GradedSlice, vb: int) -> int:
     Over GF(2) the wedge of two monomials with disjoint index sets is their
     union, so each disjoint pair of index masks flips one bit, with no sign
     and no sort."""
-    xs = _at_bits(_monomials(a.k, a.n, a.q)[1], va)
-    ys = _at_bits(_monomials(b.k, b.n, b.q)[1], vb)
+    xs = _at_bits(a.masks, va)
+    ys = _at_bits(b.masks, vb)
     tpos = _monomials(a.k, a.n + b.n, a.q + b.q)[2]
     vec = 0
     for x in xs:
@@ -395,6 +421,7 @@ def wedge_coords(a: GradedSlice, va: int, b: GradedSlice, vb: int) -> int:
     return vec
 
 
+@cached
 def max_length(k: int, n: int) -> int:
     """Largest q with a nonempty (n, q) slice for minimal index k."""
     q = 0

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .caching import cached
 from .cochains import (
@@ -44,9 +44,11 @@ class NotACocycleError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CohomologyClass:
-    """Coordinates of a cohomology class in the fixed representative basis."""
+class CohomologyClass(NamedTuple):
+    """Coordinates of a cohomology class in the fixed representative basis.
+
+    A named tuple: immutable, with the tuple's equality and hash; ``+`` adds
+    coordinates instead of concatenating."""
 
     k: int
     n: int
@@ -112,36 +114,47 @@ def class_of(c: Cochain, k: int = 1, n: int | None = None, q: int | None = None)
     """The class of a closed cochain; zero cochains need explicit (n, q).
 
     An explicit n or q must agree with a nonzero cochain's grading."""
-    if not c:
+    if not c.terms:
         if n is None or q is None:
             raise ValueError("zero cochain: pass n and q explicitly")
         return CohomologyClass(k, n, q, (0,) * cohomology_dim(k, n, q))
     degree, length = c.grading
     if n not in (None, degree) or q not in (None, length):
         raise ValueError(f"cochain of (n={degree}, q={length}) passed with n={n}, q={q}")
-    n, q = degree, length
-    basis = cohomology_basis(k, n, q)
-    vec = basis.slice.coords(c)
-    if basis.slice.delta.mul_vec(vec):
+    basis = cohomology_basis(k, degree, length)
+    sl = basis.slice
+    vec = sl.coords(c)
+    if sl.delta.mul_vec(vec):
         raise NotACocycleError(f"cochain {c} is not closed at minimal index {k}")
     return _class(basis, vec)
 
 
+# byte b"0" or b"1" to the coordinate 0 or 1
+_DIGITS = bytes.maketrans(b"01", b"\x00\x01")
+
+
 def _class(basis: SliceBasis, cocycle: int) -> CohomologyClass:
-    """The class of a cocycle, a vector of the basis's block."""
+    """The class of a cocycle, a vector of the basis's block.
+
+    Coordinate j is bit j of the tag bits: the binary digits of
+    ``x | 1 << dim`` read backwards, stopping before that top marker bit
+    (so a block of dimension 0 gives no digits)."""
     x, sl = basis.coords(cocycle), basis.slice
-    return CohomologyClass(sl.k, sl.n, sl.q, tuple((x >> j) & 1 for j in range(basis.dim)))
+    digits = bin(x | 1 << basis.dim)[:2:-1]
+    return CohomologyClass(sl.k, sl.n, sl.q, tuple(digits.encode().translate(_DIGITS)))
 
 
 def _rep_vec(cls: CohomologyClass) -> tuple[SliceBasis, int]:
     """The block's basis and the slice vector of the class's representative."""
-    basis = cohomology_basis(cls.k, cls.n, cls.q)
-    if len(cls.coords) != basis.dim:
-        raise ValueError(f"{len(cls.coords)} coordinates for a block of dimension {basis.dim}")
+    k, n, q, coords = cls  # one unpacking, not four field reads
+    basis = cohomology_basis(k, n, q)
+    if len(coords) != basis.dim:
+        raise ValueError(f"{len(coords)} coordinates for a block of dimension {basis.dim}")
+    vecs = basis.vecs
     vec = 0
-    for j, bit in enumerate(cls.coords):
+    for j, bit in enumerate(coords):
         if bit:
-            vec ^= basis.vecs[j]
+            vec ^= vecs[j]
     return basis, vec
 
 

@@ -25,6 +25,7 @@ both, and checks that ``image`` kills the ideal's generators.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .caching import cached
 from .cochains import Cochain, wedge
@@ -34,9 +35,12 @@ from .monomials import e_cocycle, x_cocycle, y_cocycle
 from .partitions import _partitions, even_component_marked, strict_regular_pairs
 
 
-@dataclass(frozen=True)
-class BigradedMonomial:
-    """Square-free word E^eps * X_(xs) * Y_(ys) with its bidegree."""
+class BigradedMonomial(NamedTuple):
+    """Square-free word E^eps * X_(xs) * Y_(ys) with its bidegree.
+
+    A named tuple, so hashing and equality, which every ``ideal_rank``
+    position lookup makes, run in C; the word order is the explicit sort key
+    of ``_bidegree_words``."""
 
     has_e: bool
     xs: tuple[int, ...]

@@ -24,6 +24,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import Sequence
 
 from .caching import cached
 
@@ -171,18 +172,31 @@ def _leading(comps: list[tuple[int, ...]], k: int) -> list[int]:
 
 
 @cached
-def _split(parts: tuple[int, ...], k: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None:
-    """The simple components and the leading parts of a part tuple; None
-    unless it is nonempty and regular with every part >= k.  Memoized per
-    key, so each shape is split once."""
-    if not parts or parts[0] < k or any(b - a < 2 for a, b in zip(parts, parts[1:])):
-        return None
+def _split(parts: tuple[int, ...], k: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The simple components and the leading parts of a nonempty regular
+    part tuple with every part >= k.  Memoized per key, so each shape is
+    split once; callers test regularity first (``_regular_split``), so no
+    irregular tuple enters the memo."""
     comps = _components(parts, k)
     return tuple(comps), tuple(_leading(comps, k))
 
 
+def _regular_split(parts: tuple[int, ...], k: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None:
+    """``_split`` of a part tuple; None unless it is nonempty and regular with
+    every part >= k.  The test is one scan per call, made before the memo
+    (a plain loop: a generator expression costs three times as much here)."""
+    if not parts or parts[0] < k:
+        return None
+    prev = parts[0]
+    for p in parts[1:]:
+        if p - prev < 2:
+            return None
+        prev = p
+    return _split(parts, k)
+
+
 def _checked_split(p: Partition, k: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    split = _split(p.parts, k)
+    split = _regular_split(p.parts, k)
     if split is None:
         _require_min_part(p, k)
         raise ValueError(f"{p} is not regular")
@@ -204,7 +218,7 @@ def leading_parts(p: Partition, k: int = 1) -> list[int]:
 
 
 def is_regular_marked(mp: MarkedPartition, k: int = 1) -> bool:
-    split = _split(mp.base.parts, k)
+    split = _regular_split(mp.base.parts, k)
     return split is not None and all(m in split[1] for m in mp.marks)
 
 
@@ -256,6 +270,19 @@ def union_marked(a: MarkedPartition, b: MarkedPartition) -> MarkedPartition:
     if set(a.marks) & set(b.marks):
         raise ValueError("mark sets collide")
     return MarkedPartition(union(a.base, b.base), tuple(sorted(a.marks + b.marks)))
+
+
+def markings(base: Partition, parts: Sequence[int]) -> list[MarkedPartition]:
+    """base marked at each subset of parts: by the number of marks, then in
+    ``combinations`` order.  parts must be strictly increasing parts of
+    base; that is checked once, so no marked partition is checked again."""
+    parts = tuple(parts)
+    MarkedPartition(base, parts)  # raises unless every subset is a valid mark tuple
+    return [
+        MarkedPartition._unchecked(base, marks)
+        for r in range(len(parts) + 1)
+        for marks in combinations(parts, r)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import random
 import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, groupby
 
 from . import caching
 from .cochains import (
@@ -56,7 +56,6 @@ from .monomials import (
     z_cocycle,
 )
 from .partitions import (
-    MarkedPartition,
     Order,
     Partition,
     canonical_decomposition,
@@ -66,6 +65,7 @@ from .partitions import (
     is_regular_marked,
     leading_parts,
     marked_regular_partitions,
+    markings,
     max_regular_length,
     regular_partitions,
     strict_partitions,
@@ -169,22 +169,19 @@ def criterion_wedge_basis(n_max: int | None = None) -> CheckResult:
                     failed.add(q)
         for base in (p for q in range(1, top + 1) for p in strict_partitions(n, q)):
             # a mark on any other part gives a zero factor and no wedge
-            markable = markable_parts(base)
-            for r in range(len(markable) + 1):
-                for marks in combinations(markable, r):
-                    mp = MarkedPartition(base, marks)
-                    vec = marked_vec(mp)
-                    if not vec or mp.length in failed:
-                        continue
-                    res.count()
-                    terms = regular_basis(n, mp.length).terms(vec)
-                    if is_regular_marked(mp, 1):
-                        if set(terms) != {mp}:
-                            res.fail(f"{mp}: regular wedge does not decompose to itself")
-                    else:
-                        bad = [t for t in terms if compare(t, mp) is not Order.LESS]
-                        if bad:
-                            res.fail(f"{mp}: term {bad[0]} not strictly below")
+            for mp in markings(base, markable_parts(base)):
+                vec = marked_vec(mp)
+                if not vec or mp.length in failed:
+                    continue
+                res.count()
+                terms = regular_basis(n, mp.length).terms(vec)
+                if is_regular_marked(mp, 1):
+                    if set(terms) != {mp}:
+                        res.fail(f"{mp}: regular wedge does not decompose to itself")
+                else:
+                    bad = [t for t in terms if compare(t, mp) is not Order.LESS]
+                    if bad:
+                        res.fail(f"{mp}: term {bad[0]} not strictly below")
     return res
 
 
@@ -466,10 +463,8 @@ def _block_total_homology(base: Partition) -> tuple[int, list[str]]:
     Levels are mark counts; also reports any coboundary escaping the block.
     """
     problems: list[str] = []
-    leads = leading_parts(base, 1)
-    levels = [
-        [MarkedPartition(base, m) for m in combinations(leads, r)] for r in range(len(leads) + 1)
-    ]
+    by_marks = groupby(markings(base, leading_parts(base, 1)), key=lambda mp: len(mp.marks))
+    levels = [list(shapes) for _, shapes in by_marks]
     level_vecs = [[corrected_vec(mp) for mp in shapes] for shapes in levels] + [[]]
     prev_rank = 0
     total = 0
@@ -497,9 +492,7 @@ def criterion_cocycle_families(n_max: int | None = None) -> CheckResult:
     for n in range(1, _bound(24, n_max) + 1):
         by_q: dict[int, list[int]] = defaultdict(list)
         for base in cohomology_partitions(n, 1):
-            leads = leading_parts(base, 1)
-            for marks in (m for r in range(len(leads) + 1) for m in combinations(leads, r)):
-                mp = MarkedPartition(base, marks)
+            for mp in markings(base, leading_parts(base, 1)):
                 eps = corrected_vec(mp)
                 res.count()
                 if not eps:

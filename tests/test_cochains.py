@@ -5,6 +5,7 @@ import pytest
 from wittcoh import caching
 from wittcoh.cochains import (
     Cochain,
+    _at_bits,
     _index_mask,
     _monomials,
     _pair_masks,
@@ -333,6 +334,64 @@ def test_max_length():
     assert max_length(0, 0) == 1
     assert max_length(-1, -1) == 2
     assert max_length(2, 1) == 0
+    # the (n, q) slice is nonempty exactly when the least sum of q distinct
+    # indices >= k is at most n; max_length is the largest such q, or 0
+    for k in (-1, 0, 1, 2, 3):
+        least = [q * k + q * (q - 1) // 2 for q in range(40)]
+        for n in range(-4, 80):
+            want = max([0] + [q for q in range(1, 40) if least[q] <= n])
+            assert max_length(k, n) == want, (k, n)
+
+
+def test_at_bits_reads_lowest_bit_first():
+    rng = random.Random(25)
+    items = tuple(range(300))
+    for width in (1, 2, 7, 64, 65, 300):
+        for _ in range(50):
+            vec = rng.getrandbits(width)
+            want = [j for j in range(width) if vec >> j & 1]
+            assert _at_bits(items, vec) == want, vec
+    assert _at_bits(items, 0) == []
+
+
+# --- the Cochain value type ---------------------------------------------------
+
+
+def test_zero_cochain_is_falsy_and_others_are_not():
+    assert not Cochain.zero() and not Cochain()
+    assert Cochain.unit() and generator(3)
+
+
+def test_cochain_sum_is_symmetric_difference():
+    a, b = c((1, 4), (2, 3)), c((2, 3), (1, 2))
+    assert a + b == c((1, 4), (1, 2))
+    assert (a + b).terms == a.terms ^ b.terms
+    assert a + a == Cochain.zero()
+    assert a + Cochain.zero() == a
+
+
+def test_cochain_fields_are_read_only():
+    a = generator(1)
+    with pytest.raises(AttributeError):
+        a.terms = frozenset()
+    with pytest.raises(AttributeError):
+        a.other = 1
+
+
+def test_cochain_repr_and_str():
+    assert repr(Cochain.zero()) == "Cochain(terms=frozenset())"
+    assert repr(generator(5)) == "Cochain(terms=frozenset({(5,)}))"
+    assert repr(Cochain.unit()) == "Cochain(terms=frozenset({()}))"
+    assert str(c((2, 3), (1, 4))) == "e1^e4 + e2^e3"
+    assert str(Cochain.zero()) == "0" and str(Cochain.unit()) == "1"
+
+
+def test_equal_cochains_hash_equal():
+    a = c((1, 4), (2, 3))
+    b = c((2, 3), (1, 4))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, a + Cochain.zero()}) == 1
+    assert a != c((1, 4))
 
 
 def test_homogeneity_bookkeeping():

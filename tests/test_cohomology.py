@@ -220,6 +220,8 @@ def test_class_of_reads_the_tagged_span():
             for q in range(1, max_length(k, n) + 1):
                 basis = cohomology_basis(k, n, q)
                 unit = [tuple(int(i == j) for i in range(basis.dim)) for j in range(basis.dim)]
+                for col in basis.image_vecs[:1]:  # a coboundary, in blocks of any dimension
+                    assert class_of(basis.slice.cochain(col), k).coords == (0,) * basis.dim
                 for j, rep in enumerate(basis.vecs):
                     vec = rep
                     for col in basis.image_vecs:
@@ -284,6 +286,39 @@ def test_inconsistent_class_input_rejected():
             representative(bad)
         with pytest.raises(ValueError, match="coordinate lengths differ"):
             cls + bad
+
+
+# --- the CohomologyClass value type ------------------------------------------
+
+
+def test_class_sum_adds_coordinates():
+    a = CohomologyClass(1, 8, 2, (1, 0, 1))
+    b = CohomologyClass(1, 8, 2, (1, 1, 0))
+    assert a + b == CohomologyClass(1, 8, 2, (0, 1, 1))
+    assert (a + a).is_zero and not a.is_zero
+    for k, n, q in ((2, 8, 2), (1, 9, 2), (1, 8, 3)):
+        other = CohomologyClass(k, n, q, (1, 1, 0))
+        with pytest.raises(ValueError, match="different blocks"):
+            a + other
+    with pytest.raises(ValueError, match="coordinate lengths differ: 3 and 2"):
+        a + CohomologyClass(1, 8, 2, (1, 1))
+
+
+def test_class_fields_are_read_only():
+    a = CohomologyClass(1, 8, 2, (1,))
+    for name in ("k", "n", "q", "coords"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, 0)
+
+
+def test_class_repr_and_hash():
+    a = CohomologyClass(1, 8, 2, (1, 0))
+    assert repr(a) == "CohomologyClass(k=1, n=8, q=2, coords=(1, 0))"
+    b = class_of(x_cocycle(2), 1)
+    assert repr(b) == f"CohomologyClass(k=1, n=4, q=1, coords={b.coords})"
+    same = CohomologyClass(b.k, b.n, b.q, tuple(b.coords))
+    assert same == b and hash(same) == hash(b)
+    assert len({b, same, b + CohomologyClass(1, 4, 1, (0,) * len(b.coords))}) == 1
 
 
 def test_cup_examples():

@@ -1,5 +1,7 @@
 from functools import reduce
 
+import pytest
+
 import wittcoh
 from wittcoh import conjecture
 from wittcoh.cohomology import class_of, cohomology_dim, cup
@@ -86,6 +88,18 @@ def test_multiply_square_free():
     assert multiply(x1y1, BigradedMonomial(False, (1,), ())) is None
     prod = multiply(x1y1, BigradedMonomial(True, (2,), ()))
     assert str(prod) == "E^X1^X2^Y1"
+
+
+def test_words_are_read_only_hashable_values():
+    w = BigradedMonomial(True, (2,), (1, 3))
+    assert repr(w) == "BigradedMonomial(has_e=True, xs=(2,), ys=(1, 3))"
+    same = BigradedMonomial(True, (2,), (1, 3))
+    assert same == w and hash(same) == hash(w)
+    assert w != BigradedMonomial(False, (2,), (1, 3))
+    for name in ("has_e", "xs", "ys"):
+        with pytest.raises(AttributeError):
+            setattr(w, name, None)
+    assert w.bidegree == (1 + 1 + 2 * 2, 1 + 2 * 2 + 4 * 4)
 
 
 def test_relation_table_lists_the_ideal_generators():

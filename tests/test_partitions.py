@@ -27,6 +27,7 @@ from wittcoh.partitions import (
     is_strict,
     leading_parts,
     marked_regular_partitions,
+    markings,
     max_regular_length,
     regular_partitions,
     special_partitions,
@@ -495,6 +496,47 @@ def test_enumerators_return_fresh_lists():
         first.clear()
         assert enumerate_() == expected
         assert enumerate_() is not enumerate_()
+
+
+def test_markings_are_the_checked_subsets_in_order():
+    for n in range(1, 22):
+        for q in range(1, n + 1):
+            for base in strict_partitions(n, q):
+                for parts in (base.parts, base.parts[::2], ()):
+                    got = markings(base, parts)
+                    want = [
+                        MarkedPartition(base, marks)
+                        for r in range(len(parts) + 1)
+                        for marks in combinations(parts, r)
+                    ]
+                    assert got == want, (base, parts)
+                    for mp in got:
+                        assert_same_as_checked(mp)
+    base = P(1, 3, 6)
+    with pytest.raises(ValueError, match="mark 2 is not a part of <1,3,6>"):
+        markings(base, (1, 2))
+    with pytest.raises(ValueError, match="marks not strictly increasing"):
+        markings(base, (3, 1))
+    with pytest.raises(ValueError, match="marks not strictly increasing"):
+        markings(base, (3, 3))
+
+
+def test_split_memo_holds_only_regular_tuples():
+    # every partition is asked about, so the memo holds one entry per
+    # regular key and none for the irregular or low ones
+    wittcoh.clear_caches()
+    regular_keys = set()
+    for n in range(1, 25):
+        for q in range(1, n + 1):
+            for p in all_partitions(n, q):
+                is_regular_marked(MarkedPartition(p), 1)
+                try:
+                    leading_parts(p, 2)
+                except ValueError:
+                    pass
+                if is_regular(p):
+                    regular_keys |= {(p.parts, k) for k in (1, 2) if p.parts[0] >= k}
+    assert partitions._split.cache_info().currsize == len(regular_keys) > 0
 
 
 def test_clear_caches_empties_the_partition_memos():
