@@ -3,14 +3,13 @@
 Vectors are bit-packed Python ints, and a matrix is dense and bit-packed by
 columns: column j is an int whose bit i is the entry in row i.  A coboundary
 is built column by column, one column per basis monomial, so the columns are
-stored as built; rows are produced only on request, by ``rows()`` and by
-``transpose()``, and the row constructor ``BitMatrix(nrows, ncols, rows)``
-packs its rows into columns once.  Every elimination goes through one
-primitive, the span ``Gf2Span``.  It keeps one reduced vector per leading
-bit, so inserting or reducing a vector costs one whole-int XOR per pivot it
-meets, never a bit test per entry.  A matrix's pass fills a span's pivot
-dict with the span's reduce loop written out, so a column costs no method
-call.  As in the augmented matrix [A | I], a tagged pass enters column j as
+stored as built; rows are produced only on request, by ``rows()``, and
+the row constructor ``BitMatrix(nrows, ncols, rows)`` packs its rows into
+columns once.  Every elimination goes through one primitive, the span
+``Gf2Span``.  It keeps one reduced vector per leading bit, so inserting or
+reducing a vector costs one whole-int XOR per pivot it meets, never a bit
+test per entry.  A matrix's pass fills a span's pivot dict with the span's
+reduce loop written out, so a column costs no method call.  As in the augmented matrix [A | I], a tagged pass enters column j as
 ``col << width | 1 << j``: the tag bits ride along with every XOR, and a
 residue below ``1 << width`` is a kernel vector.
 A kernel, a solution or an inverse is read off one such pass; the rank and
@@ -69,9 +68,6 @@ class BitMatrix:
 
     def is_zero(self) -> bool:
         return not any(self._cols)
-
-    def transpose(self) -> "BitMatrix":
-        return BitMatrix._of_columns(self.ncols, self.rows())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, BitMatrix):

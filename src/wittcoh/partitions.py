@@ -377,11 +377,19 @@ def _marked(n: int, q: int, k: int, even_only: bool) -> list[MarkedPartition]:
     return out
 
 
+@cached
+def _marked_regular(n: int, q: int, k: int) -> tuple[MarkedPartition, ...]:
+    """``marked_regular_partitions``, memoized per key: the verify suites
+    and the wedge bases ask for the same blocks again and again."""
+    return tuple(_marked(n, q, k, False))
+
+
 def marked_regular_partitions(n: int, q: int, k: int = 1) -> list[MarkedPartition]:
-    """Regular marked partitions of degree n and length (parts + marks) q."""
+    """Regular marked partitions of degree n and length (parts + marks) q,
+    enumerated once per key and returned as a fresh list."""
     if k < 1:
         raise ValueError("marked enumeration needs k >= 1")
-    return _marked(n, q, k, False)
+    return list(_marked_regular(n, q, k))
 
 
 def cohomology_partitions(n: int, k: int = 1) -> list[Partition]:
@@ -428,7 +436,8 @@ def strict_regular_pairs(n: int, q: int) -> list[tuple[Partition, Partition]]:
 
 
 def even_component_marked(n: int, q: int) -> list[MarkedPartition]:
-    """Regular marked partitions all of whose simple components have even degree."""
+    """Regular marked partitions all of whose simple components have even
+    degree.  Not memoized: the conjecture scan reads each key once."""
     return _marked(n, q, 1, True)
 
 

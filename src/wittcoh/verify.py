@@ -21,6 +21,7 @@ from itertools import combinations, groupby
 from . import caching
 from .cochains import (
     Cochain,
+    _at_bits,
     _monomials,
     coboundary,
     generator,
@@ -167,6 +168,7 @@ def criterion_wedge_basis(n_max: int | None = None) -> CheckResult:
                 except ValueError as exc:
                     res.fail(f"(n={n}, q={q}): {exc}")
                     failed.add(q)
+        masks = {}  # (q, base length) -> _length_masks of block q, built on first use
         for base in (p for q in range(1, top + 1) for p in strict_partitions(n, q)):
             # a mark on any other part gives a zero factor and no wedge
             for mp in markings(base, markable_parts(base)):
@@ -174,15 +176,46 @@ def criterion_wedge_basis(n_max: int | None = None) -> CheckResult:
                 if not vec or mp.length in failed:
                     continue
                 res.count()
-                terms = regular_basis(n, mp.length).terms(vec)
+                basis = regular_basis(n, mp.length)
+                x = basis.coords(vec)
                 if is_regular_marked(mp, 1):
-                    if set(terms) != {mp}:
+                    if set(_at_bits(basis.labels, x)) != {mp}:
                         res.fail(f"{mp}: regular wedge does not decompose to itself")
-                else:
-                    bad = [t for t in terms if compare(t, mp) is not Order.LESS]
-                    if bad:
-                        res.fail(f"{mp}: term {bad[0]} not strictly below")
+                    continue
+                key = mp.length, base.length
+                if key not in masks:
+                    masks[key] = _length_masks(basis.labels, base.length)
+                bad = _first_not_below(basis.labels, x, mp, *masks[key])
+                if bad is not None:
+                    res.fail(f"{mp}: term {bad} not strictly below")
     return res
+
+
+def _length_masks(labels, length: int) -> tuple[int, int]:
+    """The labels whose base is longer than ``length`` and those whose base
+    has that length, as bitmasks over the labels."""
+    longer = equal = 0
+    for j, t in enumerate(labels):
+        if t.base.length > length:
+            longer |= 1 << j
+        elif t.base.length == length:
+            equal |= 1 << j
+    return longer, equal
+
+
+def _first_not_below(labels, x, mp, longer: int, equal: int):
+    """The first label at x's set bits that is not strictly below mp in the
+    triangular order, or None; ``longer`` and ``equal`` are the
+    ``_length_masks`` of mp's base length.
+
+    ``compare`` puts a shorter base below and a longer one above, so only
+    equal-length labels below the lowest longer one need a call."""
+    stop = x & longer
+    stop &= -stop  # the lowest longer-base label's bit, or 0; 0 - 1 keeps every bit
+    for t in _at_bits(labels, x & equal & (stop - 1)):
+        if compare(t, mp) is not Order.LESS:
+            return t
+    return labels[stop.bit_length() - 1] if stop else None
 
 
 def criterion_pair_identities(n_max: int | None = None) -> CheckResult:
@@ -366,22 +399,23 @@ def criterion_special_counts(n_max: int | None = None) -> CheckResult:
 def _boundary_matrix(k: int, n: int, q: int) -> BitMatrix:
     """The boundary from the (n, q) block to the (n, q-1) block, contracted
     on index masks: each pair of indices with an odd sum s is replaced by s
-    when the rest of the monomial misses it.  Built without the coboundary,
-    so the structural suite can check it against the coboundary's transpose."""
+    when the rest of the monomial misses it.  Laid out as the coboundary of
+    the (n, q-1) block, its adjoint: column t gets bit j for each q-monomial
+    j that contracts to monomial t.  Built without the coboundary, so the
+    structural suite can compare the two."""
     basis, masks, _ = _monomials(k, n, q)
     target, _, tpos = _monomials(k, n, q - 1)
-    cols = []
-    for mono, mask in zip(basis, masks):
-        col = 0
+    cols = [0] * len(target)
+    for j, (mono, mask) in enumerate(zip(basis, masks)):
+        bit = 1 << j
         for a, b in combinations(mono, 2):
             s = a + b
             if s % 2 == 0:
                 continue
             rest = mask ^ (1 << (a - k)) ^ (1 << (b - k))
             if not rest >> (s - k) & 1:
-                col ^= 1 << tpos[rest | 1 << (s - k)]
-        cols.append(col)
-    return BitMatrix.from_columns(cols, len(target))
+                cols[tpos[rest | 1 << (s - k)]] ^= bit
+    return BitMatrix.from_columns(cols, len(basis))
 
 
 def criterion_structural(n_max: int | None = None, seed: int = 0) -> CheckResult:
@@ -399,7 +433,7 @@ def criterion_structural(n_max: int | None = None, seed: int = 0) -> CheckResult
                     res.fail(f"k={k} n={n} q={q}: coboundary does not square to zero")
                 if q >= 2:
                     res.count()
-                    if _boundary_matrix(k, n, q) != graded_slice(k, n, q - 1).delta.transpose():
+                    if _boundary_matrix(k, n, q) != graded_slice(k, n, q - 1).delta:
                         res.fail(f"k={k} n={n} q={q}: boundary is not adjoint to coboundary")
     for n in range(1, min(20, top) + 1):
         for q in range(1, max_length(1, n) + 1):
@@ -442,15 +476,17 @@ def criterion_tensor_blocks(n_max: int | None = None) -> CheckResult:
     """Block decomposition: each regular base spans a subcomplex whose
     homology is the product over its simple components."""
     res = CheckResult("tensor blocks")
+    # each component of a base is a regular base of no larger degree and
+    # length, visited by then: every block total is computed once
+    totals: dict[Partition, int] = {}
     for n in range(1, _bound(20, n_max) + 1):
         for q in range(1, max_regular_length(n, 1) + 1):
             for base in regular_partitions(n, q, 1):
                 total, problems = _block_total_homology(base)
                 for p in problems:
                     res.fail(p)
-                expected = math.prod(
-                    _block_total_homology(comp)[0] for comp in canonical_decomposition(base, 1)
-                )
+                totals[base] = total
+                expected = math.prod(totals[comp] for comp in canonical_decomposition(base, 1))
                 res.count()
                 if total != expected:
                     res.fail(f"{base}: block homology {total} != component product {expected}")

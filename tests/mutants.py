@@ -1,0 +1,118 @@
+"""Mutation checks: each mutant changes one line of the package in a
+temporary copy of the repository, and at least one of its listed tests
+must fail there.
+
+Run from anywhere, with the test requirements installed:
+
+    python tests/mutants.py
+
+It first runs every listed test on an unmutated copy, since a kill means
+nothing if they fail already (or name no test).  Then it prints "killed" or
+"SURVIVED" per mutant and exits 1 if any survived: a survivor's tests do
+not pin its line down.  pytest does not collect this file, as its name does
+not start with ``test_``.
+"""
+
+from __future__ import annotations
+
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+from typing import NamedTuple
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+COPIED = ("src", "tests", "perfbench", "pyproject.toml")
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the root of the repository
+    snippet: str  # occurs exactly once in the file
+    replacement: str
+    tests: tuple[str, ...]  # pytest node ids
+
+
+FIRST_NOT_BELOW = "tests/test_verify.py::test_first_not_below_matches_compare_on_random_tags"
+
+MUTANTS = (
+    Mutant(
+        "equal-length bases counted as longer",
+        "src/wittcoh/verify.py",
+        "if t.base.length > length:",
+        "if t.base.length >= length:",
+        (FIRST_NOT_BELOW,),
+    ),
+    Mutant(
+        "equal-length terms not compared",
+        "src/wittcoh/verify.py",
+        "_at_bits(labels, x & equal & (stop - 1))",
+        "_at_bits(labels, 0)",
+        (FIRST_NOT_BELOW,),
+    ),
+    Mutant(
+        "memoized marked partitions handed out",
+        "src/wittcoh/partitions.py",
+        "return list(_marked_regular(n, q, k))",
+        "return _marked_regular(n, q, k)",
+        ("tests/test_partitions.py::test_marked_regular_partitions_returns_a_fresh_list",),
+    ),
+    Mutant(
+        "block totals recomputed per component",
+        "src/wittcoh/verify.py",
+        "math.prod(totals[comp] for comp",
+        "math.prod(_block_total_homology(comp)[0] for comp",
+        ("tests/test_verify.py::test_tensor_blocks_total_each_regular_base_once",),
+    ),
+    Mutant(
+        "boundary scatter ORs instead of toggling",
+        "src/wittcoh/verify.py",
+        "cols[tpos[rest | 1 << (s - k)]] ^= bit",
+        "cols[tpos[rest | 1 << (s - k)]] |= bit",
+        ("tests/test_verify.py::test_mask_boundary_matrix_matches_tuple_boundary",),
+    ),
+)
+
+
+def run_tests(mutant: Mutant | None, tests: list[str]) -> bool:
+    """Whether the tests pass in a fresh copy of the repository with the
+    mutant applied (none: unmutated)."""
+    with tempfile.TemporaryDirectory(prefix="wittcoh-mutant-") as tmp:
+        copy = pathlib.Path(tmp)
+        for name in COPIED:
+            src = ROOT / name
+            if src.is_dir():
+                shutil.copytree(src, copy / name, ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy2(src, copy / name)
+        if mutant is not None:
+            target = copy / mutant.path
+            text = target.read_text()
+            if text.count(mutant.snippet) != 1:
+                raise SystemExit(f"{mutant.name}: snippet does not occur exactly once in {mutant.path}")
+            target.write_text(text.replace(mutant.snippet, mutant.replacement))
+        env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+            cwd=copy, env=env, capture_output=True, text=True,
+        )
+        return proc.returncode == 0
+
+
+def main() -> int:
+    every_test = sorted({t for m in MUTANTS for t in m.tests})
+    if not run_tests(None, every_test):
+        print("the listed tests fail on the unmutated code; no mutant was run")
+        return 2
+    survivors = 0
+    for mutant in MUTANTS:
+        survived = run_tests(mutant, list(mutant.tests))
+        survivors += survived
+        print(f"{'SURVIVED' if survived else 'killed  '}  {mutant.name}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

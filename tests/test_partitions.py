@@ -498,6 +498,20 @@ def test_enumerators_return_fresh_lists():
         assert enumerate_() is not enumerate_()
 
 
+def test_marked_regular_partitions_returns_a_fresh_list():
+    caching.clear_all()
+    first = marked_regular_partitions(16, 4, 1)
+    expected = list(first)
+    assert expected
+    first.clear()
+    assert marked_regular_partitions(16, 4, 1) == expected
+    assert marked_regular_partitions(16, 4, 1) is not marked_regular_partitions(16, 4, 1)
+    assert partitions._marked_regular.cache_info().currsize == 1
+    caching.clear_all()
+    assert partitions._marked_regular.cache_info().currsize == 0
+    assert marked_regular_partitions(16, 4, 1) == expected
+
+
 def test_markings_are_the_checked_subsets_in_order():
     for n in range(1, 22):
         for q in range(1, n + 1):
