@@ -28,7 +28,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .caching import cached, clear_all
+from .caching import cached, clear_all, kept
 from .gf2 import BitMatrix, Gf2Span
 
 Monomial = tuple[int, ...]
@@ -364,7 +364,7 @@ def _fill_monomials(
         masks.append(pmask | 1 << (remaining - k))
 
 
-@cached
+@kept
 def _pair_masks(k: int, i: int) -> tuple[int, ...]:
     """The coboundary of e_i on index masks: the mask of each pair a + b = i
     of ``_generator_pairs``; empty for an even i or an i without pairs."""
@@ -421,7 +421,7 @@ def wedge_coords(a: GradedSlice, va: int, b: GradedSlice, vb: int) -> int:
     return vec
 
 
-@cached
+@kept
 def max_length(k: int, n: int) -> int:
     """Largest q with a nonempty (n, q) slice for minimal index k."""
     q = 0

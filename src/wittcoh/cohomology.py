@@ -27,7 +27,7 @@ import math
 from collections import defaultdict
 from typing import NamedTuple
 
-from .caching import cached
+from .caching import cached, kept
 from .cochains import (
     Cochain,
     SliceBasis,
@@ -89,7 +89,7 @@ def cohomology_basis(k: int, n: int, q: int) -> SliceBasis:
     return SliceBasis(sl, range(dim), vecs, image_vecs)
 
 
-@cached
+@kept
 def cohomology_dim(k: int, n: int, q: int) -> int:
     """dim C_q - rank d_q - rank d_{q-1}, from the slices' pivot masks.
 

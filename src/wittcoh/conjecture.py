@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .caching import cached
+from .caching import cached, clear_degree, kept
 from .cochains import Cochain, wedge
 from .cohomology import cohomology_dim
 from .gf2 import Gf2Span
@@ -74,7 +74,7 @@ def multiply(a: BigradedMonomial, b: BigradedMonomial) -> BigradedMonomial | Non
     return BigradedMonomial(a.has_e or b.has_e, xs, ys)
 
 
-@cached
+@kept
 def _bidegree_words(q: int, n: int) -> tuple[tuple[BigradedMonomial, ...], dict[BigradedMonomial, int]]:
     """The square-free words of bidegree (q, n), sorted, and each word's
     position; memoized per bidegree."""
@@ -111,7 +111,7 @@ def y_relation(i: int) -> tuple[BigradedMonomial, ...]:
     return tuple(BigradedMonomial(False, (), (i - a, i + a + 1)) for a in range(i))
 
 
-@cached
+@kept
 def relation_table(n_cap: int) -> tuple[tuple[int, int, tuple[BigradedMonomial, ...]], ...]:
     """The ideal generators with degree at most n_cap as (q, n, terms), each
     generator the sum of its terms, in the module docstring's order;
@@ -205,11 +205,19 @@ class ConjectureReport:
         return out
 
 
+def scan_degree(report: ConjectureReport, n: int) -> None:
+    """Append the cells of degree n, lengths 1..n, to the report."""
+    for q in range(1, n + 1):
+        report.hilbert_cells.append(hilbert_cell(q, n))
+        report.counting_cells.append(counting_cell(q, n))
+
+
 def scan(n_max: int) -> ConjectureReport:
-    hilbert = []
-    counting = []
+    """The cells of degrees 1..n_max, one degree at a time; each degree's
+    slices, bases and marked-partition lists are dropped after it
+    (``caching.clear_degree``), its dimensions and words kept."""
+    report = ConjectureReport([], [])
     for n in range(1, n_max + 1):
-        for q in range(1, n + 1):
-            hilbert.append(hilbert_cell(q, n))
-            counting.append(counting_cell(q, n))
-    return ConjectureReport(hilbert, counting)
+        scan_degree(report, n)
+        clear_degree()
+    return report

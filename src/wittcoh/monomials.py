@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .caching import cached
+from .caching import cached, kept
 from .cochains import (
     Cochain,
     SliceBasis,
@@ -56,7 +56,7 @@ from .partitions import (
 )
 
 
-@cached
+@kept
 def _factor(i: int, marked: bool) -> Cochain:
     """The factor of part i in a marked wedge: e_i, or its coboundary when
     marked (zero for an even i and for i = 1)."""
@@ -202,7 +202,7 @@ def corrected_wedge(mp: MarkedPartition) -> Cochain:
     return out
 
 
-@cached
+@kept
 def _component_masks(comp: tuple[int, ...], marked: bool) -> tuple[int, ...]:
     """The index masks of the monomials of ``simple_corrected`` of the
     component with parts comp; memoized per part tuple."""

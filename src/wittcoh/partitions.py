@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Sequence
 
-from .caching import cached
+from .caching import cached, kept
 
 
 @dataclass(frozen=True)
@@ -320,7 +320,7 @@ def strict_index_tuples(n: int, q: int, min_index: int) -> list[tuple[int, ...]]
     return ascending_tuples(n, q, min_index, 1)
 
 
-@cached
+@kept
 def _partitions(n: int, q: int, lowest: int, gap: int) -> tuple[Partition, ...]:
     """The partitions of n into q parts, the least at least `lowest`, with
     successive parts at least `gap` apart; memoized per key.  A valid key

@@ -7,6 +7,12 @@ or are exact cochain identities.  Default bounds are the ones the package
 commits to; passing a smaller ``n_max`` scales every suite down.  At
 ``n_max=0`` the blocks of degree -1 and 0 at minimal indices 0 and -1
 remain, and the low-index and structural suites still run 15 checks on them.
+
+Every suite runs one degree at a time (``_run``).  ``run_suites`` runs all
+of them at degree n before any at degree n + 1, and then drops that
+degree's slices, bases and marked-partition lists (``caching.clear_degree``).
+A suite reads a lower degree only through what is kept: the memoized
+dimensions, or a small table of results of its own.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import combinations, groupby
+from typing import Iterator
 
 from . import caching
 from .cochains import (
@@ -42,7 +49,7 @@ from .cohomology import (
     predicted_low_index_dim,
     representative,
 )
-from .conjecture import image, odd_x_relation, relation_table, scan, y_relation
+from .conjecture import ConjectureReport, image, odd_x_relation, relation_table, scan_degree, y_relation
 from .gf2 import BitMatrix, Gf2Span
 from .monomials import (
     corrected_vec,
@@ -102,12 +109,50 @@ def _bound(default: int, n_max: int | None) -> int:
     return default if n_max is None else min(default, n_max)
 
 
+def _run(suites: list[Iterator]) -> list[CheckResult]:
+    """Run the suites one degree at a time; their results, in order.
+
+    A suite is a generator.  It yields its CheckResult first, and then each
+    of its degrees, in increasing order, just before it checks that degree.
+    What it runs before its first degree is its once-part; the once-parts
+    run first, in suite order.  Then at each degree every suite waiting for
+    it runs in suite order (a suite's code after its last degree runs in
+    that step), and the degree's memos are dropped.  An exception aborts its
+    own suite only, which then reports that alone."""
+    results = [next(suite) for suite in suites]
+    waiting: dict[int, int] = {}  # suite index -> the degree it waits for
+
+    def advance(i: int) -> None:
+        try:
+            waiting[i] = next(suites[i])
+        except StopIteration:
+            waiting.pop(i, None)
+        except Exception as exc:  # a corrupted complex raises deep inside a suite
+            waiting.pop(i, None)
+            results[i] = CheckResult(results[i].name)
+            results[i].fail(f"aborted: {type(exc).__name__}: {exc}")
+
+    for i in range(len(suites)):
+        advance(i)
+    while waiting:
+        n = min(waiting.values())
+        for i in [i for i, degree in waiting.items() if degree == n]:
+            advance(i)
+        caching.clear_degree()
+    return results
+
+
 def criterion_worked_example(n_max: int | None = None) -> CheckResult:
     """Degree 12 at minimal index 1: dimensions t + 3t^2 + 3t^3, from cold caches."""
+    return _run([_worked_example(n_max)])[0]
+
+
+def _worked_example(n_max: int | None) -> Iterator:
     res = CheckResult("worked example, degree 12")
+    yield res
     if _bound(12, n_max) < 12:
         res.note("skipped: bound below 12")
-        return res
+        return
     caching.clear_all()
     start = time.perf_counter()
     got = poincare_computed(12, 1)
@@ -118,42 +163,58 @@ def criterion_worked_example(n_max: int | None = None) -> CheckResult:
     res.count()
     if elapsed >= 1.0:
         res.fail(f"degree 12 took {elapsed:.3f}s (budget 1s)")
-    return res
 
 
-def _check_dims(res: CheckResult, k: int, n_top: int) -> None:
-    """Prediction vs. brute force for every degree k..n_top at minimal index k."""
-    for n in range(k, n_top + 1):
-        res.count()
-        predicted = poincare_predicted(n, k)
-        computed = poincare_computed(n, k)
-        if predicted != computed:
-            res.fail(f"k={k} n={n}: predicted {poly_str(predicted)}, computed {poly_str(computed)}")
+def _check_dims(res: CheckResult, k: int, n: int) -> None:
+    """Prediction vs. brute force at degree n, minimal index k."""
+    res.count()
+    predicted = poincare_predicted(n, k)
+    computed = poincare_computed(n, k)
+    if predicted != computed:
+        res.fail(f"k={k} n={n}: predicted {poly_str(predicted)}, computed {poly_str(computed)}")
 
 
 def criterion_dims_min_index_1(n_max: int | None = None) -> CheckResult:
     """Prediction vs. brute force for every degree and length, minimal index 1."""
+    return _run([_dims_min_index_1(n_max)])[0]
+
+
+def _dims_min_index_1(n_max: int | None) -> Iterator:
     res = CheckResult("dimension formula, minimal index 1")
-    _check_dims(res, 1, _bound(40, n_max))
-    return res
+    yield res
+    for n in range(1, _bound(40, n_max) + 1):
+        yield n
+        _check_dims(res, 1, n)
 
 
 def criterion_dims_min_index_k(n_max: int | None = None, k_bound: int = 4) -> CheckResult:
+    return _run([_dims_min_index_k(n_max, k_bound)])[0]
+
+
+def _dims_min_index_k(n_max: int | None, k_bound: int) -> Iterator:
     res = CheckResult(f"dimension formula, minimal indices 2..{k_bound}")
+    yield res
     if k_bound < 2:
         res.note("skipped: bound below 2")
-        return res
-    for k in range(2, k_bound + 1):
-        _check_dims(res, k, _bound(30, n_max))
-    return res
+        return
+    for n in range(2, _bound(30, n_max) + 1):
+        yield n
+        for k in range(2, min(k_bound, n) + 1):
+            _check_dims(res, k, n)
 
 
 def criterion_wedge_basis(n_max: int | None = None) -> CheckResult:
     """The regular marked-wedge matrix is square and invertible in every block,
     and every singular wedge decomposes strictly below its shape.  A block
     whose basis fails is reported once, and its shapes are not decomposed."""
+    return _run([_wedge_basis(n_max)])[0]
+
+
+def _wedge_basis(n_max: int | None) -> Iterator:
     res = CheckResult("marked-wedge basis and triangularity")
+    yield res
     for n in range(1, _bound(30, n_max) + 1):
+        yield n
         top = max_length(1, n)
         failed = set()
         for q in range(1, top + 3):
@@ -188,7 +249,6 @@ def criterion_wedge_basis(n_max: int | None = None) -> CheckResult:
                 bad = _first_not_below(basis.labels, x, mp, *masks[key])
                 if bad is not None:
                     res.fail(f"{mp}: term {bad} not strictly below")
-    return res
 
 
 def _length_masks(labels, length: int) -> tuple[int, int]:
@@ -227,10 +287,16 @@ def criterion_pair_identities(n_max: int | None = None) -> CheckResult:
     sum is a nonzero regular wedge combination, which this check pins down
     rather than hides.
     """
+    return _run([_pair_identities(n_max)])[0]
+
+
+def _pair_identities(n_max: int | None) -> Iterator:
     res = CheckResult("quadratic cochain identities")
+    yield res
     top = _bound(60, n_max)
     delta_of = {i: coboundary(generator(i), 1) for i in range(1, top)}
     for n in range(2, top + 1):
+        yield n
         if n % 2:
             res.count()
             total = Cochain.zero()
@@ -254,13 +320,18 @@ def criterion_pair_identities(n_max: int | None = None) -> CheckResult:
         elif n >= 10:
             if not total:
                 res.fail(f"n={n}: double-coboundary counterexample unexpectedly vanished")
-    return res
 
 
 def criterion_corrected_coboundary(n_max: int | None = None) -> CheckResult:
     """The coboundary of every corrected wedge equals its closed form."""
+    return _run([_corrected_coboundary(n_max)])[0]
+
+
+def _corrected_coboundary(n_max: int | None) -> Iterator:
     res = CheckResult("corrected-wedge coboundary closed form")
+    yield res
     for n in range(1, _bound(24, n_max) + 1):
+        yield n
         for q in range(1, max_length(1, n) + 1):
             delta = graded_slice(1, n, q).delta
             for mp in marked_regular_partitions(n, q, 1):
@@ -270,15 +341,19 @@ def criterion_corrected_coboundary(n_max: int | None = None) -> CheckResult:
                     predicted ^= corrected_vec(variant)
                 if delta.mul_vec(corrected_vec(mp)) != predicted:
                     res.fail(f"{mp}: coboundary differs from the closed form")
-    return res
 
 
 def criterion_product_relations(i_max: int = 8) -> CheckResult:
     """Ring relations as class identities, and their exact witnesses."""
+    return _run([_product_relations(i_max)])[0]
+
+
+def _product_relations(i_max: int) -> Iterator:
     res = CheckResult(f"product relations, i <= {i_max}")
+    yield res
     if i_max < 1:
         res.note("skipped: bound below 1")
-        return res
+        return
     res.count()
     if wedge(e_cocycle(), e_cocycle()):
         res.fail("square of the weight-1 generator is nonzero")
@@ -329,23 +404,37 @@ def criterion_product_relations(i_max: int = 8) -> CheckResult:
         res.count()
         if image(y_relation(i)):
             res.fail(f"i={i}: y-family sum is nonzero as a cochain")
-    return res
+
+
 
 
 def criterion_low_min_index(n_max: int | None = None) -> CheckResult:
     """Minimal indices 0 and -1: dimension transfer, odd-degree vanishing,
     the explicit second-cohomology basis, and the action identities."""
+    return _run([_low_min_index(n_max)])[0]
+
+
+def _low_min_index(n_max: int | None) -> Iterator:
     res = CheckResult("minimal indices 0 and -1")
-    top = _bound(30, n_max)
-    for k in (0, -1):
-        for n in range(k, top + 1):
-            for q in range(1, max_length(k, n) + 1):
-                res.count()
-                got = cohomology_dim(k, n, q)
-                want = predicted_low_index_dim(n, q, k)
-                if got != want:
-                    res.fail(f"k={k} n={n} q={q}: computed {got}, predicted {want}")
-    for n in range(2, _bound(60, n_max) + 1, 2):
+    yield res
+    top, ext_top = _bound(30, n_max), _bound(60, n_max)
+    got: dict[tuple[int, int], int] = {}  # (k, q) -> dimension, at the degree before
+    for n in range(-1, max(top + 1, ext_top) + 1):
+        yield n
+        # the prediction at degree n - 1 reads the index-1 dimensions of degree n
+        for (k, q), dim in got.items():
+            res.count()
+            want = predicted_low_index_dim(n - 1, q, k)
+            if dim != want:
+                res.fail(f"k={k} n={n - 1} q={q}: computed {dim}, predicted {want}")
+        got = {
+            (k, q): cohomology_dim(k, n, q)
+            for k in (0, -1)
+            if k <= n <= top
+            for q in range(1, max_length(k, n) + 1)
+        }
+        if n < 2 or n % 2 or n > ext_top:
+            continue
         family = central_extension_basis(n)
         expected = n // 4 + 1
         res.count()
@@ -381,11 +470,15 @@ def criterion_low_min_index(n_max: int | None = None) -> CheckResult:
             res.count()
             if generator_action(-1, generator(i)):
                 res.fail(f"even generator {i}: action should vanish")
-    return res
 
 
 def criterion_special_counts(n_max: int | None = None) -> CheckResult:
+    return _run([_special_counts(n_max)])[0]
+
+
+def _special_counts(n_max: int | None) -> Iterator:
     res = CheckResult("special partition counts")
+    yield res
     for q in range(1, _bound(8, n_max) + 1):
         for k in range(1, 6):
             res.count()
@@ -393,7 +486,6 @@ def criterion_special_counts(n_max: int | None = None) -> CheckResult:
             want = math.comb(q + k - 1, k - 1)
             if got != want:
                 res.fail(f"q={q} k={k}: counted {got}, expected {want}")
-    return res
 
 
 def _boundary_matrix(k: int, n: int, q: int) -> BitMatrix:
@@ -422,33 +514,21 @@ def criterion_structural(n_max: int | None = None, seed: int = 0) -> CheckResult
     """Squared differentials vanish, the two differentials are adjoint,
     the degree -1 action is a chain map, and products do not depend on the
     choice of representatives."""
+    return _run([_structural(n_max, seed)])[0]
+
+
+def _structural(n_max: int | None, seed: int) -> Iterator:
     res = CheckResult("structural properties")
+    yield res
     top = _bound(30, n_max)
-    for k in (-1, 0, 1, 2, 3, 4):
-        for n in range(k, top + 1):
-            for q in range(1, max_length(k, n) + 1):
-                res.count()
-                sl = graded_slice(k, n, q)
-                if not (graded_slice(k, n, q + 1).delta @ sl.delta).is_zero():
-                    res.fail(f"k={k} n={n} q={q}: coboundary does not square to zero")
-                if q >= 2:
-                    res.count()
-                    if _boundary_matrix(k, n, q) != graded_slice(k, n, q - 1).delta:
-                        res.fail(f"k={k} n={n} q={q}: boundary is not adjoint to coboundary")
-    for n in range(1, min(20, top) + 1):
-        for q in range(1, max_length(1, n) + 1):
-            for mono in graded_slice(1, n, q).basis:
-                res.count()
-                c = Cochain(frozenset({mono}))
-                if generator_action(-1, coboundary(c, 1)) != coboundary(generator_action(-1, c), 1):
-                    res.fail(f"n={n} q={q}: action does not commute with the coboundary")
+    # a product reads three degrees' bases, so the product sample is a once-part
     rng = random.Random(seed)
     prod_top = min(20, top)
     cells = [
         (n, q)
         for n in range(1, prod_top)
         for q in range(1, max_length(1, n) + 1)
-        if cohomology_basis(1, n, q).dim > 0
+        if cohomology_dim(1, n, q) > 0
     ]
     pairs = [
         (c1, c2) for c1 in cells for c2 in cells if c1[0] + c2[0] <= prod_top
@@ -469,17 +549,42 @@ def criterion_structural(n_max: int | None = None, seed: int = 0) -> CheckResult
         got = class_of(moved, 1, n=n1 + n2, q=q1 + q2)
         if got != expected:
             res.fail(f"cup not representative-independent at ({n1},{q1})x({n2},{q2})")
-    return res
+    for n in range(-1, top + 1):
+        yield n
+        for k in range(-1, min(4, n) + 1):
+            for q in range(1, max_length(k, n) + 1):
+                res.count()
+                sl = graded_slice(k, n, q)
+                if not (graded_slice(k, n, q + 1).delta @ sl.delta).is_zero():
+                    res.fail(f"k={k} n={n} q={q}: coboundary does not square to zero")
+                if q >= 2:
+                    res.count()
+                    if _boundary_matrix(k, n, q) != graded_slice(k, n, q - 1).delta:
+                        res.fail(f"k={k} n={n} q={q}: boundary is not adjoint to coboundary")
+        if not 1 <= n <= min(20, top):
+            continue
+        for q in range(1, max_length(1, n) + 1):
+            for mono in graded_slice(1, n, q).basis:
+                res.count()
+                c = Cochain(frozenset({mono}))
+                if generator_action(-1, coboundary(c, 1)) != coboundary(generator_action(-1, c), 1):
+                    res.fail(f"n={n} q={q}: action does not commute with the coboundary")
 
 
 def criterion_tensor_blocks(n_max: int | None = None) -> CheckResult:
     """Block decomposition: each regular base spans a subcomplex whose
     homology is the product over its simple components."""
+    return _run([_tensor_blocks(n_max)])[0]
+
+
+def _tensor_blocks(n_max: int | None) -> Iterator:
     res = CheckResult("tensor blocks")
+    yield res
     # each component of a base is a regular base of no larger degree and
     # length, visited by then: every block total is computed once
     totals: dict[Partition, int] = {}
     for n in range(1, _bound(20, n_max) + 1):
+        yield n
         for q in range(1, max_regular_length(n, 1) + 1):
             for base in regular_partitions(n, q, 1):
                 total, problems = _block_total_homology(base)
@@ -490,7 +595,6 @@ def criterion_tensor_blocks(n_max: int | None = None) -> CheckResult:
                 res.count()
                 if total != expected:
                     res.fail(f"{base}: block homology {total} != component product {expected}")
-    return res
 
 
 def _block_total_homology(base: Partition) -> tuple[int, list[str]]:
@@ -524,8 +628,14 @@ def _block_total_homology(base: Partition) -> tuple[int, list[str]]:
 def criterion_cocycle_families(n_max: int | None = None) -> CheckResult:
     """The corrected wedges over the indexing partitions of each degree are
     nonzero closed cochains whose classes form a basis in every length."""
+    return _run([_cocycle_families(n_max)])[0]
+
+
+def _cocycle_families(n_max: int | None) -> Iterator:
     res = CheckResult("cocycle family bases")
+    yield res
     for n in range(1, _bound(24, n_max) + 1):
+        yield n
         by_q: dict[int, list[int]] = defaultdict(list)
         for base in cohomology_partitions(n, 1):
             for mp in markings(base, leading_parts(base, 1)):
@@ -550,7 +660,6 @@ def criterion_cocycle_families(n_max: int | None = None) -> CheckResult:
                 if not span.add(eps):
                     res.fail(f"n={n} q={q}: family dependent modulo coboundaries")
                     break
-    return res
 
 
 def criterion_conjecture(n_max: int | None = None) -> CheckResult:
@@ -561,45 +670,44 @@ def criterion_conjecture(n_max: int | None = None) -> CheckResult:
     projection factors through the quotient.  The generators are cut at the
     degree 4 * i_max + 2 that G_i reaches at i_max = min(6, n_max // 4).
     """
+    return _run([_conjecture(n_max)])[0]
+
+
+def _conjecture(n_max: int | None) -> Iterator:
     res = CheckResult("conjecture evidence")
+    yield res
     top = _bound(24, n_max)
-    report = scan(top)
+    for q, n, terms in relation_table(4 * min(6, top // 4) + 2):
+        res.count()
+        if not class_of(image(terms), 1, n=n, q=q).is_zero:
+            res.fail(f"{' + '.join(map(str, terms))} image is a nonzero class")
+    report = ConjectureReport([], [])
+    for n in range(1, top + 1):
+        yield n
+        scan_degree(report, n)
     res.count(len(report.hilbert_cells) + len(report.counting_cells))
     for finding in report.findings():
         res.note(finding)
     if not report.internally_consistent:
         res.fail("the two reductions disagree about the conjecture")
-    for q, n, terms in relation_table(4 * min(6, top // 4) + 2):
-        res.count()
-        if not class_of(image(terms), 1, n=n, q=q).is_zero:
-            res.fail(f"{' + '.join(map(str, terms))} image is a nonzero class")
-    return res
 
 
 def run_suites(n_max: int | None = None, k_bound: int = 4, seed: int = 0) -> list[CheckResult]:
-    """Run every suite at (possibly scaled-down) committed bounds."""
+    """Run every suite at (possibly scaled-down) committed bounds, all of
+    them one degree at a time."""
     i_max = 8 if n_max is None else min(8, n_max // 4)
-    suites = {
-        "worked example, degree 12": lambda: criterion_worked_example(n_max),
-        "dimension formula, minimal index 1": lambda: criterion_dims_min_index_1(n_max),
-        f"dimension formula, minimal indices 2..{k_bound}":
-            lambda: criterion_dims_min_index_k(n_max, k_bound),
-        "marked-wedge basis and triangularity": lambda: criterion_wedge_basis(n_max),
-        "quadratic cochain identities": lambda: criterion_pair_identities(n_max),
-        "corrected-wedge coboundary closed form": lambda: criterion_corrected_coboundary(n_max),
-        "cocycle family bases": lambda: criterion_cocycle_families(n_max),
-        f"product relations, i <= {i_max}": lambda: criterion_product_relations(i_max),
-        "minimal indices 0 and -1": lambda: criterion_low_min_index(n_max),
-        "special partition counts": lambda: criterion_special_counts(n_max),
-        "structural properties": lambda: criterion_structural(n_max, seed=seed),
-        "tensor blocks": lambda: criterion_tensor_blocks(n_max),
-        "conjecture evidence": lambda: criterion_conjecture(n_max),
-    }
-    results = []
-    for name, suite in suites.items():
-        try:
-            results.append(suite())
-        except Exception as exc:  # a corrupted complex raises deep inside a suite
-            results.append(CheckResult(name))
-            results[-1].fail(f"aborted: {type(exc).__name__}: {exc}")
-    return results
+    return _run([
+        _worked_example(n_max),
+        _dims_min_index_1(n_max),
+        _dims_min_index_k(n_max, k_bound),
+        _wedge_basis(n_max),
+        _pair_identities(n_max),
+        _corrected_coboundary(n_max),
+        _cocycle_families(n_max),
+        _product_relations(i_max),
+        _low_min_index(n_max),
+        _special_counts(n_max),
+        _structural(n_max, seed),
+        _tensor_blocks(n_max),
+        _conjecture(n_max),
+    ])

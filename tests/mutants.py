@@ -36,6 +36,9 @@ class Mutant(NamedTuple):
 
 
 FIRST_NOT_BELOW = "tests/test_verify.py::test_first_not_below_matches_compare_on_random_tags"
+DEGREE_LOOP = "tests/test_verify.py::test_run_suites_drops_each_degree_and_builds_each_slice_once"
+CORRUPTED_PIVOTS = "tests/test_cohomology.py::test_pivot_masks_stay_exact_on_a_corrupted_complex"
+CLEARING = "tests/test_cohomology.py::test_clearing_is_exact"
 
 MUTANTS = (
     Mutant(
@@ -72,6 +75,69 @@ MUTANTS = (
         "cols[tpos[rest | 1 << (s - k)]] ^= bit",
         "cols[tpos[rest | 1 << (s - k)]] |= bit",
         ("tests/test_verify.py::test_mask_boundary_matrix_matches_tuple_boundary",),
+    ),
+    Mutant(
+        "degree memos not dropped",
+        "src/wittcoh/verify.py",
+        "        caching.clear_degree()\n",
+        "        pass\n",
+        (DEGREE_LOOP,),
+    ),
+    Mutant(
+        "slices kept across degrees",
+        "src/wittcoh/cochains.py",
+        "@cached\ndef graded_slice(",
+        "@kept\ndef graded_slice(",
+        (DEGREE_LOOP,),
+    ),
+    Mutant(
+        "an abort stops every suite",
+        "src/wittcoh/verify.py",
+        "            waiting.pop(i, None)\n            results[i] = CheckResult(results[i].name)",
+        "            waiting.clear()\n            results[i] = CheckResult(results[i].name)",
+        ("tests/test_verify.py::test_interleaved_suites_match_each_suite_alone",),
+    ),
+    Mutant(
+        "an untagged vector of bit 0 alone is no pivot",
+        "src/wittcoh/gf2.py",
+        "if v >= limit:",
+        "if v > limit:",
+        ("tests/test_gf2.py::test_rank_matches_naive_oracle", "tests/test_gf2.py::test_kernel_matches_rref_oracle"),
+    ),
+    Mutant(
+        "tag bits alone count as a pivot",
+        "src/wittcoh/gf2.py",
+        "if v >= limit:",
+        "if v:",
+        ("tests/test_gf2.py::test_kernel_matches_rref_oracle",),
+    ),
+    Mutant(
+        "every slice counted as closed",
+        "src/wittcoh/cochains.py",
+        "self.closed = not any(delta.mul_vec(w) for w in prev.image_basis())",
+        "self.closed = True",
+        (CORRUPTED_PIVOTS,),
+    ),
+    Mutant(
+        "an unclosed slice clears",
+        "src/wittcoh/cochains.py",
+        "self.cleared = prev.leads if self.closed else 0",
+        "self.cleared = prev.leads",
+        (CORRUPTED_PIVOTS,),
+    ),
+    Mutant(
+        "nothing cleared",
+        "src/wittcoh/cochains.py",
+        "self.cleared = prev.leads if self.closed else 0",
+        "self.cleared = 0",
+        (CLEARING,),
+    ),
+    Mutant(
+        "the pivot columns below cleared instead of its leading rows",
+        "src/wittcoh/cochains.py",
+        "self.cleared = prev.leads if self.closed else 0",
+        "self.cleared = prev.pivots if self.closed else 0",
+        (CLEARING,),
     ),
 )
 

@@ -25,14 +25,17 @@ from wittcoh.gf2 import BitMatrix
 m = BitMatrix(2, 2, [0b01, 0b11])
 assert m @ m.inverse() == BitMatrix(2, 2, [0b01, 0b10])
 assert m.solve(0b11) is not None
+# both drop each degree's slices and bases after it
+assert verify.criterion_wedge_basis(8).passed
+conjecture.scan(8)
+dropped = tracing.layer_metrics(tracer)
 assert cli.main(["dims", "--n-max", "10", "--format", "json"], io.StringIO(), io.StringIO()) == 0
 a = cohomology.class_of(monomials.y_cocycle(2))
 cohomology.cup(a, a)
 for mp in marked_regular_partitions(9, 2, 1):
+    monomials.decompose(monomials.marked_wedge(mp))
     monomials.decompose_corrected(monomials.corrected_wedge(mp))
-assert verify.criterion_wedge_basis(8).passed
-conjecture.scan(8)
-print(json.dumps(tracing.layer_metrics(tracer)))
+print(json.dumps([dropped, tracing.layer_metrics(tracer)]))
 """
 
 
@@ -45,7 +48,10 @@ def test_tracer_installs_and_reports_every_layer():
         [sys.executable, "-c", SCRIPT], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    metrics = json.loads(proc.stdout.strip().splitlines()[-1])
+    dropped, metrics = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert dropped["monomials.basis_builds"] > 0
+    for name in ("graded_slice", "cohomology_basis", "regular_basis", "corrected_basis"):
+        assert dropped[f"caching.entries.{name}"] == 0, name
     for name in (
         "monomials.basis_builds",
         "monomials.wedge_calls",
@@ -66,7 +72,7 @@ def test_tracer_installs_and_reports_every_layer():
         "conjecture.ideal_rank_calls",
     ):
         assert metrics[name] > 0, name
-    # one regular and one corrected basis per block the workload touched
-    assert metrics["monomials.basis_builds"] == (
+    # since the drop, one regular and one corrected basis per block touched
+    assert metrics["monomials.basis_builds"] - dropped["monomials.basis_builds"] == (
         metrics["caching.entries.regular_basis"] + metrics["caching.entries.corrected_basis"]
     )

@@ -1,12 +1,13 @@
 """The verify suites' own machinery: the index-mask boundary matrix against
-the tuple boundary, a negative control for the whole run, and the check
-counts that the benchmark's verify workload expects."""
+the tuple boundary, a negative control for the whole run, the check counts
+that the benchmark's verify workload expects, and the degree loop: what it
+drops after each degree, and that interleaving mixes no suites."""
 
 import json
 import pathlib
 import random
 
-from wittcoh import verify
+from wittcoh import caching, cochains, verify
 from wittcoh.cochains import Cochain, boundary, corrupted_generator, graded_slice, max_length
 from wittcoh.gf2 import BitMatrix
 from wittcoh.monomials import markable_parts, marked_vec, regular_basis
@@ -108,3 +109,75 @@ def test_tensor_blocks_total_each_regular_base_once(monkeypatch):
     bases = [b for n in range(1, 13) for q in range(1, n + 1) for b in regular_partitions(n, q, 1)]
     assert sorted(calls, key=lambda b: b.parts) == sorted(bases, key=lambda b: b.parts)
     assert len(set(calls)) == len(calls)
+
+
+# the memos that later degrees read; every other memo holds one degree
+KEPT = {
+    "cohomology_dim", "_bidegree_words", "relation_table", "_component_masks",
+    "_pair_masks", "_factor", "max_length", "_partitions",
+}
+
+
+def test_run_suites_drops_each_degree_and_builds_each_slice_once(monkeypatch):
+    steps = []  # one entry per call of the helper
+    builds = []  # (helper calls before the build, k, n, q)
+    clear_degree = caching.clear_degree
+
+    def spy_clear():
+        clear_degree()
+        steps.append({fn.__wrapped__.__name__: fn.cache_info().currsize for fn in caching._CACHED})
+
+    class SpySlice(cochains.GradedSlice):
+        __slots__ = ()
+
+        def __init__(self, k, n, q, *rest):
+            builds.append((len(steps), k, n, q))
+            super().__init__(k, n, q, *rest)
+
+    monkeypatch.setattr(caching, "clear_degree", spy_clear)
+    monkeypatch.setattr(cochains, "GradedSlice", SpySlice)
+    results = verify.run_suites(n_max=16)
+    assert all(r.passed for r in results), [r.summary() for r in results if not r.passed]
+    # degrees -1..17: the low-index suite checks degree 16 at step 17
+    degrees = range(-1, 18)
+    assert len(steps) == len(degrees)
+    assert set(steps[0]) >= KEPT
+    for sizes in steps:
+        assert {name for name, size in sizes.items() if size} <= KEPT
+    # the once-parts run before step -1; from then on the slices of degree n
+    # are built in step n only, so none is built twice in the loop
+    in_loop = [(k, n, q) for step, k, n, q in builds if step > 0 or n == -1]
+    assert all(n == degrees[step] for step, k, n, q in builds if step > 0)
+    assert len(in_loop) == len(set(in_loop)) > 300
+    assert {n for _, n, _ in in_loop} == set(degrees)
+
+
+def test_interleaved_suites_match_each_suite_alone():
+    i_max = 16 // 4
+    alone = (
+        lambda: verify.criterion_worked_example(16),
+        lambda: verify.criterion_dims_min_index_1(16),
+        lambda: verify.criterion_dims_min_index_k(16, k_bound=2),
+        lambda: verify.criterion_wedge_basis(16),
+        lambda: verify.criterion_pair_identities(16),
+        lambda: verify.criterion_corrected_coboundary(16),
+        lambda: verify.criterion_cocycle_families(16),
+        lambda: verify.criterion_product_relations(i_max),
+        lambda: verify.criterion_low_min_index(16),
+        lambda: verify.criterion_special_counts(16),
+        lambda: verify.criterion_structural(16, seed=0),
+        lambda: verify.criterion_tensor_blocks(16),
+        lambda: verify.criterion_conjecture(16),
+    )
+    with corrupted_generator(9):
+        together = verify.run_suites(16, k_bound=2)
+        apart = [run() for run in alone]
+
+    def outcome(r):
+        return r.name, r.checked, r.failures
+
+    assert [outcome(r) for r in together] == [outcome(r) for r in apart]
+    # an aborted suite reports its abort alone, and the suites after it run on
+    aborted = [j for j, r in enumerate(together) if r.failures[:1] and r.failures[0].startswith("aborted:")]
+    assert aborted and all(len(together[j].failures) == 1 for j in aborted)
+    assert any(together[j].checked for j in range(aborted[0] + 1, len(together)))
