@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .caching import cached, clear_degree, kept
+from .caching import clear_degree, kept
 from .cochains import Cochain, wedge
 from .cohomology import cohomology_dim
 from .gf2 import Gf2Span

@@ -443,15 +443,16 @@ def even_component_marked(n: int, q: int) -> list[MarkedPartition]:
 
 def special_partitions(q: int, k: int) -> list[Partition]:
     """All special k-partitions of length q, by direct enumeration."""
-    return list(map(Partition._unchecked, _special_tuples(q, k)))
+    out: list[tuple[int, ...]] = []
+    _special(out, (), k, q, _special_top(q, k))
+    return list(map(Partition._unchecked, out))
 
 
-def _special_tuples(q: int, k: int) -> list[tuple[int, ...]]:
+def _special_top(q: int, k: int) -> int:
+    """The largest part of a special k-partition of length q."""
     if q < 1 or k < 1:
         raise ValueError("needs q >= 1 and k >= 1")
-    out: list[tuple[int, ...]] = []
-    _special(out, (), k, q, 2 * (k + q - 1) - 1)
-    return out
+    return 2 * (k + q - 1) - 1
 
 
 def _special(out: list, prefix: tuple[int, ...], lo: int, slots: int, hi: int) -> None:
@@ -465,4 +466,14 @@ def _special(out: list, prefix: tuple[int, ...], lo: int, slots: int, hi: int) -
 
 
 def count_special(q: int, k: int) -> int:
-    return len(_special_tuples(q, k))
+    """``len(special_partitions(q, k))``, counted over the same tree without a list."""
+    return _count_special(k, q, _special_top(q, k))
+
+
+def _count_special(lo: int, slots: int, hi: int) -> int:
+    if slots == 1:  # the last part takes any value in [lo, hi]
+        return hi - lo + 1
+    total = 0
+    for a in range(lo, hi - 2 * (slots - 1) + 1):
+        total += _count_special(a + 2, slots - 1, hi)
+    return total

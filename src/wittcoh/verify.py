@@ -1,12 +1,12 @@
 """The evidence layer: every theorem check of the package, as suites.
 
-The other modules only compute; each claim is checked here, by one
-``criterion_*`` suite that returns a CheckResult.  All expected values are
-either computed independently (combinatorial predictions vs. linear algebra)
-or are exact cochain identities.  Default bounds are the ones the package
-commits to; passing a smaller ``n_max`` scales every suite down.  At
-``n_max=0`` the blocks of degree -1 and 0 at minimal indices 0 and -1
-remain, and the low-index and structural suites still run 15 checks on them.
+The other modules only compute; each claim is checked here, by one suite,
+a generator ``_<name>``, and ``criterion_<name>`` is built from it to run
+it alone.  Expected values are computed independently (combinatorial
+predictions vs. linear algebra) or are exact cochain identities.  Default
+bounds are the package's commitments; ``n_max``, every suite's one scale,
+scales them down.  At ``n_max=0`` the blocks of degree -1 and 0 at minimal
+indices 0 and -1 remain, and the low-index and structural suites run 15 checks.
 
 Every suite runs one degree at a time (``_run``).  ``run_suites`` runs all
 of them at degree n before any at degree n + 1, and then drops that
@@ -17,6 +17,7 @@ dimensions, or a small table of results of its own.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import time
@@ -142,12 +143,8 @@ def _run(suites: list[Iterator]) -> list[CheckResult]:
     return results
 
 
-def criterion_worked_example(n_max: int | None = None) -> CheckResult:
+def _worked_example(n_max: int | None = None) -> Iterator:
     """Degree 12 at minimal index 1: dimensions t + 3t^2 + 3t^3, from cold caches."""
-    return _run([_worked_example(n_max)])[0]
-
-
-def _worked_example(n_max: int | None) -> Iterator:
     res = CheckResult("worked example, degree 12")
     yield res
     if _bound(12, n_max) < 12:
@@ -174,12 +171,8 @@ def _check_dims(res: CheckResult, k: int, n: int) -> None:
         res.fail(f"k={k} n={n}: predicted {poly_str(predicted)}, computed {poly_str(computed)}")
 
 
-def criterion_dims_min_index_1(n_max: int | None = None) -> CheckResult:
+def _dims_min_index_1(n_max: int | None = None) -> Iterator:
     """Prediction vs. brute force for every degree and length, minimal index 1."""
-    return _run([_dims_min_index_1(n_max)])[0]
-
-
-def _dims_min_index_1(n_max: int | None) -> Iterator:
     res = CheckResult("dimension formula, minimal index 1")
     yield res
     for n in range(1, _bound(40, n_max) + 1):
@@ -187,30 +180,20 @@ def _dims_min_index_1(n_max: int | None) -> Iterator:
         _check_dims(res, 1, n)
 
 
-def criterion_dims_min_index_k(n_max: int | None = None, k_bound: int = 4) -> CheckResult:
-    return _run([_dims_min_index_k(n_max, k_bound)])[0]
-
-
-def _dims_min_index_k(n_max: int | None, k_bound: int) -> Iterator:
-    res = CheckResult(f"dimension formula, minimal indices 2..{k_bound}")
+def _dims_min_index_k(n_max: int | None = None) -> Iterator:
+    """Prediction vs. brute force at minimal indices 2 to 4."""
+    res = CheckResult("dimension formula, minimal indices 2..4")
     yield res
-    if k_bound < 2:
-        res.note("skipped: bound below 2")
-        return
     for n in range(2, _bound(30, n_max) + 1):
         yield n
-        for k in range(2, min(k_bound, n) + 1):
+        for k in range(2, min(4, n) + 1):
             _check_dims(res, k, n)
 
 
-def criterion_wedge_basis(n_max: int | None = None) -> CheckResult:
+def _wedge_basis(n_max: int | None = None) -> Iterator:
     """The regular marked-wedge matrix is square and invertible in every block,
     and every singular wedge decomposes strictly below its shape.  A block
     whose basis fails is reported once, and its shapes are not decomposed."""
-    return _run([_wedge_basis(n_max)])[0]
-
-
-def _wedge_basis(n_max: int | None) -> Iterator:
     res = CheckResult("marked-wedge basis and triangularity")
     yield res
     for n in range(1, _bound(30, n_max) + 1):
@@ -278,7 +261,7 @@ def _first_not_below(labels, x, mp, longer: int, equal: int):
     return labels[stop.bit_length() - 1] if stop else None
 
 
-def criterion_pair_identities(n_max: int | None = None) -> CheckResult:
+def _pair_identities(n_max: int | None = None) -> Iterator:
     """The three exact quadratic identities between generators and their
     coboundaries, each on its true domain.
 
@@ -287,10 +270,6 @@ def criterion_pair_identities(n_max: int | None = None) -> CheckResult:
     sum is a nonzero regular wedge combination, which this check pins down
     rather than hides.
     """
-    return _run([_pair_identities(n_max)])[0]
-
-
-def _pair_identities(n_max: int | None) -> Iterator:
     res = CheckResult("quadratic cochain identities")
     yield res
     top = _bound(60, n_max)
@@ -322,12 +301,8 @@ def _pair_identities(n_max: int | None) -> Iterator:
                 res.fail(f"n={n}: double-coboundary counterexample unexpectedly vanished")
 
 
-def criterion_corrected_coboundary(n_max: int | None = None) -> CheckResult:
+def _corrected_coboundary(n_max: int | None = None) -> Iterator:
     """The coboundary of every corrected wedge equals its closed form."""
-    return _run([_corrected_coboundary(n_max)])[0]
-
-
-def _corrected_coboundary(n_max: int | None) -> Iterator:
     res = CheckResult("corrected-wedge coboundary closed form")
     yield res
     for n in range(1, _bound(24, n_max) + 1):
@@ -343,12 +318,9 @@ def _corrected_coboundary(n_max: int | None) -> Iterator:
                     res.fail(f"{mp}: coboundary differs from the closed form")
 
 
-def criterion_product_relations(i_max: int = 8) -> CheckResult:
-    """Ring relations as class identities, and their exact witnesses."""
-    return _run([_product_relations(i_max)])[0]
-
-
-def _product_relations(i_max: int) -> Iterator:
+def _product_relations(n_max: int | None = None) -> Iterator:
+    """Ring relations as class identities, and their exact witnesses, for i <= 8."""
+    i_max = _bound(32, n_max) // 4  # x_i, y_i and z_i reach degree 4i
     res = CheckResult(f"product relations, i <= {i_max}")
     yield res
     if i_max < 1:
@@ -406,15 +378,9 @@ def _product_relations(i_max: int) -> Iterator:
             res.fail(f"i={i}: y-family sum is nonzero as a cochain")
 
 
-
-
-def criterion_low_min_index(n_max: int | None = None) -> CheckResult:
+def _low_min_index(n_max: int | None = None) -> Iterator:
     """Minimal indices 0 and -1: dimension transfer, odd-degree vanishing,
     the explicit second-cohomology basis, and the action identities."""
-    return _run([_low_min_index(n_max)])[0]
-
-
-def _low_min_index(n_max: int | None) -> Iterator:
     res = CheckResult("minimal indices 0 and -1")
     yield res
     top, ext_top = _bound(30, n_max), _bound(60, n_max)
@@ -472,11 +438,8 @@ def _low_min_index(n_max: int | None) -> Iterator:
                 res.fail(f"even generator {i}: action should vanish")
 
 
-def criterion_special_counts(n_max: int | None = None) -> CheckResult:
-    return _run([_special_counts(n_max)])[0]
-
-
-def _special_counts(n_max: int | None) -> Iterator:
+def _special_counts(n_max: int | None = None) -> Iterator:
+    """The special partitions, counted by enumeration, against the binomial."""
     res = CheckResult("special partition counts")
     yield res
     for q in range(1, _bound(8, n_max) + 1):
@@ -510,14 +473,10 @@ def _boundary_matrix(k: int, n: int, q: int) -> BitMatrix:
     return BitMatrix.from_columns(cols, len(basis))
 
 
-def criterion_structural(n_max: int | None = None, seed: int = 0) -> CheckResult:
+def _structural(n_max: int | None = None, seed: int = 0) -> Iterator:
     """Squared differentials vanish, the two differentials are adjoint,
     the degree -1 action is a chain map, and products do not depend on the
     choice of representatives."""
-    return _run([_structural(n_max, seed)])[0]
-
-
-def _structural(n_max: int | None, seed: int) -> Iterator:
     res = CheckResult("structural properties")
     yield res
     top = _bound(30, n_max)
@@ -571,13 +530,9 @@ def _structural(n_max: int | None, seed: int) -> Iterator:
                     res.fail(f"n={n} q={q}: action does not commute with the coboundary")
 
 
-def criterion_tensor_blocks(n_max: int | None = None) -> CheckResult:
+def _tensor_blocks(n_max: int | None = None) -> Iterator:
     """Block decomposition: each regular base spans a subcomplex whose
     homology is the product over its simple components."""
-    return _run([_tensor_blocks(n_max)])[0]
-
-
-def _tensor_blocks(n_max: int | None) -> Iterator:
     res = CheckResult("tensor blocks")
     yield res
     # each component of a base is a regular base of no larger degree and
@@ -625,13 +580,9 @@ def _block_total_homology(base: Partition) -> tuple[int, list[str]]:
     return total, problems
 
 
-def criterion_cocycle_families(n_max: int | None = None) -> CheckResult:
+def _cocycle_families(n_max: int | None = None) -> Iterator:
     """The corrected wedges over the indexing partitions of each degree are
     nonzero closed cochains whose classes form a basis in every length."""
-    return _run([_cocycle_families(n_max)])[0]
-
-
-def _cocycle_families(n_max: int | None) -> Iterator:
     res = CheckResult("cocycle family bases")
     yield res
     for n in range(1, _bound(24, n_max) + 1):
@@ -662,7 +613,7 @@ def _cocycle_families(n_max: int | None) -> Iterator:
                     break
 
 
-def criterion_conjecture(n_max: int | None = None) -> CheckResult:
+def _conjecture(n_max: int | None = None) -> Iterator:
     """Conjecture evidence: both reductions must agree with each other;
     mismatched cells are reported as findings, not failures.
 
@@ -670,10 +621,6 @@ def criterion_conjecture(n_max: int | None = None) -> CheckResult:
     projection factors through the quotient.  The generators are cut at the
     degree 4 * i_max + 2 that G_i reaches at i_max = min(6, n_max // 4).
     """
-    return _run([_conjecture(n_max)])[0]
-
-
-def _conjecture(n_max: int | None) -> Iterator:
     res = CheckResult("conjecture evidence")
     yield res
     top = _bound(24, n_max)
@@ -692,22 +639,44 @@ def _conjecture(n_max: int | None) -> Iterator:
         res.fail("the two reductions disagree about the conjecture")
 
 
-def run_suites(n_max: int | None = None, k_bound: int = 4, seed: int = 0) -> list[CheckResult]:
+def run_suites(n_max: int | None = None, seed: int = 0) -> list[CheckResult]:
     """Run every suite at (possibly scaled-down) committed bounds, all of
     them one degree at a time."""
-    i_max = 8 if n_max is None else min(8, n_max // 4)
     return _run([
         _worked_example(n_max),
         _dims_min_index_1(n_max),
-        _dims_min_index_k(n_max, k_bound),
+        _dims_min_index_k(n_max),
         _wedge_basis(n_max),
         _pair_identities(n_max),
         _corrected_coboundary(n_max),
         _cocycle_families(n_max),
-        _product_relations(i_max),
+        _product_relations(n_max),
         _low_min_index(n_max),
         _special_counts(n_max),
         _structural(n_max, seed),
         _tensor_blocks(n_max),
         _conjecture(n_max),
     ])
+
+
+def _criterion(suite):
+    """``criterion_<name>``: the generator ``_<name>`` run alone, with its
+    arguments, defaults and docstring."""
+    run = functools.wraps(suite)(lambda *args, **kwargs: _run([suite(*args, **kwargs)])[0])
+    run.__name__ = run.__qualname__ = "criterion" + suite.__name__
+    return run
+
+
+criterion_worked_example = _criterion(_worked_example)
+criterion_dims_min_index_1 = _criterion(_dims_min_index_1)
+criterion_dims_min_index_k = _criterion(_dims_min_index_k)
+criterion_wedge_basis = _criterion(_wedge_basis)
+criterion_pair_identities = _criterion(_pair_identities)
+criterion_corrected_coboundary = _criterion(_corrected_coboundary)
+criterion_cocycle_families = _criterion(_cocycle_families)
+criterion_product_relations = _criterion(_product_relations)
+criterion_low_min_index = _criterion(_low_min_index)
+criterion_special_counts = _criterion(_special_counts)
+criterion_structural = _criterion(_structural)
+criterion_tensor_blocks = _criterion(_tensor_blocks)
+criterion_conjecture = _criterion(_conjecture)

@@ -9,8 +9,9 @@ Run from anywhere, with the test requirements installed:
 It first runs every listed test on an unmutated copy, since a kill means
 nothing if they fail already (or name no test).  Then it prints "killed" or
 "SURVIVED" per mutant and exits 1 if any survived: a survivor's tests do
-not pin its line down.  pytest does not collect this file, as its name does
-not start with ``test_``.
+not pin its line down.  An equivalent mutant, one that no input can tell
+apart from the code, is listed with the reason and not run.  pytest does not
+collect this file, as its name does not start with ``test_``.
 """
 
 from __future__ import annotations
@@ -33,12 +34,16 @@ class Mutant(NamedTuple):
     snippet: str  # occurs exactly once in the file
     replacement: str
     tests: tuple[str, ...]  # pytest node ids
+    equivalent: str = ""  # why no input tells it apart; such a mutant is not run
 
 
 FIRST_NOT_BELOW = "tests/test_verify.py::test_first_not_below_matches_compare_on_random_tags"
 DEGREE_LOOP = "tests/test_verify.py::test_run_suites_drops_each_degree_and_builds_each_slice_once"
 CORRUPTED_PIVOTS = "tests/test_cohomology.py::test_pivot_masks_stay_exact_on_a_corrupted_complex"
 CLEARING = "tests/test_cohomology.py::test_clearing_is_exact"
+SLICE_COLUMNS = "tests/test_cochains.py::test_slice_columns_match_cochain_coboundary"
+SPLIT = "tests/test_partitions.py::test_split_matches_the_definitions_on_every_partition"
+COMPARE = "tests/test_partitions.py::test_compare_examples"
 
 MUTANTS = (
     Mutant(
@@ -139,6 +144,114 @@ MUTANTS = (
         "self.cleared = prev.pivots if self.closed else 0",
         (CLEARING,),
     ),
+    Mutant(
+        "generator pairs shifted by 1 instead of the minimal index",
+        "src/wittcoh/cochains.py",
+        "tuple(1 << (a - k) | 1 << (b - k) for",
+        "tuple(1 << (a - 1) | 1 << (b - 1) for",
+        ("tests/test_cochains.py::test_pair_masks_are_the_generator_coboundary", SLICE_COLUMNS),
+    ),
+    Mutant(
+        "slice coboundary terms at reversed positions",
+        "src/wittcoh/cochains.py",
+        "col ^= 1 << tpos[rest | ab]",
+        "col ^= 1 << (len(target) - 1 - tpos[rest | ab])",
+        (SLICE_COLUMNS,),
+    ),
+    Mutant(
+        "slice coboundary term looked up by xor",
+        "src/wittcoh/cochains.py",
+        "col ^= 1 << tpos[rest | ab]",
+        "col ^= 1 << tpos[rest ^ ab]",
+        (),
+        "the line above skips any ab that meets rest, so rest ^ ab == rest | ab",
+    ),
+    Mutant(
+        "wedge terms at reversed positions",
+        "src/wittcoh/cochains.py",
+        "vec ^= 1 << tpos[x | y]",
+        "vec ^= 1 << (len(tpos) - 1 - tpos[x | y])",
+        ("tests/test_cochains.py::test_wedge_coords_matches_the_tuple_wedge",),
+    ),
+    Mutant(
+        "wedge term looked up by xor",
+        "src/wittcoh/cochains.py",
+        "vec ^= 1 << tpos[x | y]",
+        "vec ^= 1 << tpos[x ^ y]",
+        (),
+        "only disjoint masks reach the lookup, so x ^ y == x | y",
+    ),
+    Mutant(
+        "a gap of 2 cuts a component too",
+        "src/wittcoh/partitions.py",
+        "if parts[i] - parts[i - 1] != 2 and parts[i] >= 2 * (k + i - start):",
+        "if parts[i] >= 2 * (k + i - start):",
+        (SPLIT,),
+    ),
+    Mutant(
+        "gaps below 2 cut no component",
+        "src/wittcoh/partitions.py",
+        "if parts[i] - parts[i - 1] != 2 and",
+        "if parts[i] - parts[i - 1] > 2 and",
+        (),
+        "only regular tuples are split, and their gaps are all at least 2",
+    ),
+    Mutant(
+        "a part at the special bound stays in its component",
+        "src/wittcoh/partitions.py",
+        "parts[i] >= 2 * (k + i - start):",
+        "parts[i] > 2 * (k + i - start):",
+        (SPLIT,),
+    ),
+    Mutant(
+        "equal prefix sums break dominance",
+        "src/wittcoh/partitions.py",
+        "        if sa > sb:\n",
+        "        if sa >= sb:\n",
+        (COMPARE,),
+    ),
+    Mutant(
+        "a longer base compares below",
+        "src/wittcoh/partitions.py",
+        "return Order.LESS if len(pa) < len(pb) else Order.GREATER",
+        "return Order.LESS if len(pa) > len(pb) else Order.GREATER",
+        (COMPARE, FIRST_NOT_BELOW),
+    ),
+    Mutant(
+        "marks compare in reverse",
+        "src/wittcoh/partitions.py",
+        "return Order.LESS if a.marks < b.marks else Order.GREATER",
+        "return Order.LESS if a.marks > b.marks else Order.GREATER",
+        (COMPARE,),
+    ),
+    Mutant(
+        "class coordinates read without the marker bit",
+        "src/wittcoh/cohomology.py",
+        "bin(x | 1 << basis.dim)[:2:-1]",
+        "bin(x)[:2:-1]",
+        ("tests/test_cohomology.py::test_class_of_reads_the_tagged_span",),
+    ),
+    Mutant(
+        "a vector outside the span gets coordinates",
+        "src/wittcoh/cochains.py",
+        "        if x >> self.dim:\n",
+        "        if False:\n",
+        ("tests/test_monomials.py::test_slice_basis_coords_reject_a_vector_outside_the_span",),
+    ),
+    Mutant(
+        "the last special part's range counted one short",
+        "src/wittcoh/partitions.py",
+        "        return hi - lo + 1\n",
+        "        return hi - lo\n",
+        ("tests/test_partitions.py::test_special_counts_match_binomial",),
+    ),
+    Mutant(
+        "product relations checked to half of n_max",
+        "src/wittcoh/verify.py",
+        "i_max = _bound(32, n_max) // 4",
+        "i_max = _bound(32, n_max) // 2",
+        ("tests/test_verify.py::test_product_relations_check_i_up_to_a_quarter_of_n_max",),
+    ),
 )
 
 
@@ -155,10 +268,7 @@ def run_tests(mutant: Mutant | None, tests: list[str]) -> bool:
                 shutil.copy2(src, copy / name)
         if mutant is not None:
             target = copy / mutant.path
-            text = target.read_text()
-            if text.count(mutant.snippet) != 1:
-                raise SystemExit(f"{mutant.name}: snippet does not occur exactly once in {mutant.path}")
-            target.write_text(text.replace(mutant.snippet, mutant.replacement))
+            target.write_text(target.read_text().replace(mutant.snippet, mutant.replacement))
         env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
@@ -168,12 +278,20 @@ def run_tests(mutant: Mutant | None, tests: list[str]) -> bool:
 
 
 def main() -> int:
+    for mutant in MUTANTS:
+        if (ROOT / mutant.path).read_text().count(mutant.snippet) != 1:
+            raise SystemExit(f"{mutant.name}: snippet does not occur exactly once in {mutant.path}")
+        if not mutant.tests and not mutant.equivalent:
+            raise SystemExit(f"{mutant.name}: lists no test")
     every_test = sorted({t for m in MUTANTS for t in m.tests})
     if not run_tests(None, every_test):
         print("the listed tests fail on the unmutated code; no mutant was run")
         return 2
     survivors = 0
     for mutant in MUTANTS:
+        if mutant.equivalent:
+            print(f"equivalent  {mutant.name}: {mutant.equivalent}")
+            continue
         survived = run_tests(mutant, list(mutant.tests))
         survivors += survived
         print(f"{'SURVIVED' if survived else 'killed  '}  {mutant.name}")

@@ -25,7 +25,7 @@ def test_criterion_02_dimension_formula_index1_to_40():
 
 
 def test_criterion_03_dimension_formula_index_2_to_4():
-    _run(verify.criterion_dims_min_index_k(30, k_bound=4))
+    _run(verify.criterion_dims_min_index_k(30))
 
 
 def test_criterion_04_basis_matrix_and_triangularity_to_30():
@@ -45,7 +45,7 @@ def test_criterion_06b_cocycle_family_bases_to_24():
 
 
 def test_criterion_07_product_relations_to_8():
-    _run(verify.criterion_product_relations(8))
+    _run(verify.criterion_product_relations())
 
 
 def test_criterion_08_low_minimal_indices():
@@ -96,8 +96,8 @@ def test_run_suites_check_counts_at_committed_bounds():
 
 
 def test_an_aborted_suite_reports_under_its_own_name():
-    clean = [r.name for r in verify.run_suites(12, k_bound=2)]
+    clean = [r.name for r in verify.run_suites(12)]
     with corrupted_generator(9):
-        corrupted = verify.run_suites(12, k_bound=2)
+        corrupted = verify.run_suites(12)
     assert any(f.startswith("aborted:") for r in corrupted for f in r.failures)
     assert [r.name for r in corrupted] == clean

@@ -123,17 +123,8 @@ def test_verify_tiny_bound_passes():
 
 
 def test_verify_small_bound_passes():
-    code, out, _ = run(["verify", "--n-max", "10", "--k", "2"])
+    code, out, _ = run(["verify", "--n-max", "10"])
     assert code == 0
-
-
-def test_verify_below_k_2_notes_the_skipped_suite():
-    for k in ("1", "0"):
-        code, out, _ = run(["verify", "--n-max", "6", "--k", k])
-        assert code == 0
-        lines = out.splitlines()
-        at = lines.index("PASS  dimension formula, minimal indices 2..1 (0 checks)")
-        assert lines[at + 1] == "    note: skipped: bound below 2"
 
 
 @pytest.mark.parametrize("command", ["dims", "poincare", "basis"])
@@ -146,11 +137,11 @@ def test_per_degree_commands_leave_the_caches_empty(command):
 
 def test_verify_detects_corrupted_coboundary():
     with cochains.corrupted_generator(9):
-        code, out, _ = run(["verify", "--n-max", "12", "--k", "2"])
+        code, out, _ = run(["verify", "--n-max", "12"])
     assert code == 1
     assert "FAIL" in out
     # the block cleared the caches on exit: no corrupted slice is reused
-    code, out, _ = run(["verify", "--n-max", "12", "--k", "2"])
+    code, out, _ = run(["verify", "--n-max", "12"])
     assert code == 0
     assert "FAIL" not in out
 
@@ -181,7 +172,7 @@ READ_FLAGS = {
     "dims": {"--k", "--n-max", "--q-max", "--format"},
     "basis": {"--k", "--n-max", "--q-max", "--format"},
     "poincare": {"--k", "--n-max", "--format"},
-    "verify": {"--k", "--n-max", "--seed"},
+    "verify": {"--n-max", "--seed"},
     "conjecture": {"--n-max", "--format"},
     "extensions": {"--n-max", "--format"},
 }

@@ -208,6 +208,21 @@ def test_wedge_basis_rejects_a_dependent_wedge():
         SliceBasis(sl, ("cocycle", "boundary"), [kernel[0], image[0] ^ image[-1]], image)
 
 
+def test_slice_basis_coords_reject_a_vector_outside_the_span():
+    # a cohomology basis spans the cocycles only: a monomial with a nonzero
+    # coboundary has no coordinates
+    rejected = 0
+    for n in range(1, 13):
+        for q in range(1, max_length(1, n) + 1):
+            basis = cohomology_basis(1, n, q)
+            for j in range(basis.slice.dim):
+                if basis.slice.delta.mul_vec(1 << j):
+                    with pytest.raises(ValueError, match="outside the span"):
+                        basis.coords(1 << j)
+                    rejected += 1
+    assert rejected > 20
+
+
 def test_wedge_basis_rejects_a_collapsed_wedge():
     zero = marked_regular_partitions(12, 3, 1)[3]
     with pytest.raises(ValueError, match=re.escape(f"wedge of {zero} collapsed")):

@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -618,7 +619,20 @@ def test_counting_enumerators_match_unmemoized_references():
 def test_special_counts_match_binomial():
     for q in range(1, 9):
         for k in range(1, 6):
-            assert count_special(q, k) == math.comb(q + k - 1, k - 1)
+            assert count_special(q, k) == len(special_partitions(q, k)) == math.comb(q + k - 1, k - 1)
+
+
+def test_special_count_holds_no_list():
+    # the tree is counted, not listed: the traced peak stays below one byte
+    # per counted partition (a list of them takes hundreds)
+    count = math.comb(28, 4)
+    tracemalloc.start()
+    try:
+        assert count_special(24, 5) == count
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < count, peak
 
 
 def test_special_enumeration_members():

@@ -3,6 +3,7 @@ the tuple boundary, a negative control for the whole run, the check counts
 that the benchmark's verify workload expects, and the degree loop: what it
 drops after each degree, and that interleaving mixes no suites."""
 
+import inspect
 import json
 import pathlib
 import random
@@ -46,7 +47,7 @@ def test_mask_boundary_matrix_matches_tuple_boundary():
 
 def test_a_corrupted_generator_fails_every_suite_but_the_special_counts():
     with corrupted_generator(9):
-        results = verify.run_suites(16, k_bound=2)
+        results = verify.run_suites(16)
     assert len(results) == 13
     assert [r.name for r in results if r.passed] == ["special partition counts"]
 
@@ -153,16 +154,15 @@ def test_run_suites_drops_each_degree_and_builds_each_slice_once(monkeypatch):
 
 
 def test_interleaved_suites_match_each_suite_alone():
-    i_max = 16 // 4
     alone = (
         lambda: verify.criterion_worked_example(16),
         lambda: verify.criterion_dims_min_index_1(16),
-        lambda: verify.criterion_dims_min_index_k(16, k_bound=2),
+        lambda: verify.criterion_dims_min_index_k(16),
         lambda: verify.criterion_wedge_basis(16),
         lambda: verify.criterion_pair_identities(16),
         lambda: verify.criterion_corrected_coboundary(16),
         lambda: verify.criterion_cocycle_families(16),
-        lambda: verify.criterion_product_relations(i_max),
+        lambda: verify.criterion_product_relations(16),
         lambda: verify.criterion_low_min_index(16),
         lambda: verify.criterion_special_counts(16),
         lambda: verify.criterion_structural(16, seed=0),
@@ -170,7 +170,7 @@ def test_interleaved_suites_match_each_suite_alone():
         lambda: verify.criterion_conjecture(16),
     )
     with corrupted_generator(9):
-        together = verify.run_suites(16, k_bound=2)
+        together = verify.run_suites(16)
         apart = [run() for run in alone]
 
     def outcome(r):
@@ -181,3 +181,35 @@ def test_interleaved_suites_match_each_suite_alone():
     aborted = [j for j, r in enumerate(together) if r.failures[:1] and r.failures[0].startswith("aborted:")]
     assert aborted and all(len(together[j].failures) == 1 for j in aborted)
     assert any(together[j].checked for j in range(aborted[0] + 1, len(together)))
+
+
+SUITES = (
+    "worked_example", "dims_min_index_1", "dims_min_index_k", "wedge_basis",
+    "pair_identities", "corrected_coboundary", "cocycle_families", "product_relations",
+    "low_min_index", "special_counts", "structural", "tensor_blocks", "conjecture",
+)
+
+
+def test_each_runner_is_built_from_its_suite():
+    for name in SUITES:
+        run, suite = getattr(verify, f"criterion_{name}"), getattr(verify, f"_{name}")
+        assert run.__name__ == run.__qualname__ == f"criterion_{name}"
+        assert run.__doc__ and run.__doc__ == suite.__doc__, name
+        params = inspect.signature(run).parameters.values()
+        assert [p.name for p in params][0] == "n_max", name
+        assert all(p.default is not p.empty for p in params), name
+
+
+# (name, checks) of the product relations at each i_max, as run through the
+# old i_max parameter: 7 + 6 (i_max - 1) checks, none below 1
+PRODUCT_RELATIONS_BY_I_MAX = {0: 0, 1: 7, 2: 13, 3: 19, 4: 25, 5: 31, 6: 37, 7: 43, 8: 49}
+
+
+def test_product_relations_check_i_up_to_a_quarter_of_n_max():
+    for n_max in (*range(41), None):
+        i_max = 8 if n_max is None else min(8, n_max // 4)
+        res = verify.criterion_product_relations(n_max)
+        assert res.passed, (n_max, res.failures)
+        assert (res.name, res.checked) == (
+            f"product relations, i <= {i_max}", PRODUCT_RELATIONS_BY_I_MAX[i_max]
+        ), n_max
