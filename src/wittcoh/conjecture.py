@@ -32,7 +32,7 @@ from .cochains import Cochain, wedge
 from .cohomology import cohomology_dim
 from .gf2 import Gf2Span
 from .monomials import e_cocycle, x_cocycle, y_cocycle
-from .partitions import _partitions, even_component_marked, strict_regular_pairs
+from .partitions import _feasible_degrees, _partitions, even_component_marked, strict_regular_pairs
 
 
 class BigradedMonomial(NamedTuple):
@@ -58,7 +58,7 @@ class BigradedMonomial(NamedTuple):
 
 
 def _merge_square_free(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...] | None:
-    if set(a) & set(b):
+    if not set(a).isdisjoint(b):
         return None
     return tuple(sorted(a + b))
 
@@ -83,11 +83,11 @@ def _bidegree_words(q: int, n: int) -> tuple[tuple[BigradedMonomial, ...], dict[
     out = []
     for has_e in (False, True):
         qq, nn = q - has_e, n - has_e
-        if qq < 0 or nn < 0 or nn % 2:
+        if qq < 0 or nn < 0:
             continue
         for b in range(qq // 2 + 1):
             a = qq - 2 * b
-            for y_deg in range(b * (b + 1) // 2, nn // 4 + 1):
+            for y_deg in _feasible_degrees(nn, a, b, b * (b + 1) // 2):
                 ys_list = _partitions(y_deg, b, 1, 1)
                 for xs in _partitions((nn - 4 * y_deg) // 2, a, 1, 1):
                     for ys in ys_list:
@@ -141,6 +141,8 @@ def ideal_rank(q: int, n: int) -> int:
     """Rank of the ideal's intersection with one bidegree: the span of
     generator-times-monomial products landing there."""
     _, pos = _bidegree_words(q, n)
+    if not pos:
+        return 0
     span = Gf2Span()
     for gq, gn, terms in relation_table(n):
         if gq > q:

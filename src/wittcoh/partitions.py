@@ -369,7 +369,7 @@ def _marked(n: int, q: int, k: int, even_only: bool) -> list[MarkedPartition]:
     those over a base whose simple components all have even degree."""
     out = []
     # a base of m parts has at most m leading parts, so it needs m >= q/2
-    for m in range((q + 1) // 2, q + 1):
+    for m in range((q + 1) // 2, min(q, max_regular_length(n, k)) + 1):
         for base, leads, even in _bases_and_leads(n, m, k):
             if even or not even_only:
                 out.extend(MarkedPartition._unchecked(base, marks) for marks in combinations(leads, q - m))
@@ -407,6 +407,20 @@ def cohomology_partitions(n: int, k: int = 1) -> list[Partition]:
     return out
 
 
+def _feasible_degrees(total: int, a: int, b: int, least: int) -> range:
+    """The degrees y with total = 2x + 4y where x is a sum of a distinct
+    positive parts and y a sum of b parts: x >= a(a+1)/2, y >= least (the
+    least sum of the b parts), and each sum is 0 when it has no parts.  The
+    word and pair enumerators loop over these, so they meet no empty key."""
+    if total % 2 or (not a and total % 4):
+        return range(0)
+    top = (total - a * (a + 1)) // 4
+    low = least if a else max(least, top)  # with no x parts, 4y is all of total
+    if not b:
+        top = min(top, 0)
+    return range(low, top + 1)
+
+
 def strict_regular_pairs(n: int, q: int) -> list[tuple[Partition, Partition]]:
     """Pairs (K, L): K strict, L regular, |K| + 2|L| = q and
     2*deg(K) + 4*deg(L) = n, with every odd part of K at distance >= 2
@@ -414,13 +428,8 @@ def strict_regular_pairs(n: int, q: int) -> list[tuple[Partition, Partition]]:
     out = []
     for b in range(q // 2 + 1):
         a = q - 2 * b
-        l_degs = [0] if b == 0 else list(range(b * b, n // 4 + 1))  # b*b = 1+3+...+(2b-1)
-        for l_deg in l_degs:
-            rem = n - 4 * l_deg
-            if rem < 0 or rem % 2:
-                continue
-            k_deg = rem // 2
-            ks = _partitions(k_deg, a, 1, 1)
+        for l_deg in _feasible_degrees(n, a, b, b * b):  # b*b = 1+3+...+(2b-1)
+            ks = _partitions((n - 4 * l_deg) // 2, a, 1, 1)
             ls = _partitions(l_deg, b, 1, 2)
             for K in ks:
                 for L in ls:

@@ -44,6 +44,10 @@ CLEARING = "tests/test_cohomology.py::test_clearing_is_exact"
 SLICE_COLUMNS = "tests/test_cochains.py::test_slice_columns_match_cochain_coboundary"
 SPLIT = "tests/test_partitions.py::test_split_matches_the_definitions_on_every_partition"
 COMPARE = "tests/test_partitions.py::test_compare_examples"
+WORDS = "tests/test_conjecture.py::test_bidegree_words_match_ascending_tuples_reference"
+COUNTING = "tests/test_partitions.py::test_counting_enumerators_match_unmemoized_references"
+NO_EMPTY_KEYS = "tests/test_conjecture.py::test_scan_enumerates_no_empty_part_tuples"
+MARKINGS = "tests/test_partitions.py::test_markings_are_the_checked_subsets_in_order"
 
 MUTANTS = (
     Mutant(
@@ -251,6 +255,189 @@ MUTANTS = (
         "i_max = _bound(32, n_max) // 4",
         "i_max = _bound(32, n_max) // 2",
         ("tests/test_verify.py::test_product_relations_check_i_up_to_a_quarter_of_n_max",),
+    ),
+    Mutant(
+        "set bits read highest first",
+        "src/wittcoh/cochains.py",
+        "    out.reverse()\n",
+        "",
+        ("tests/test_cochains.py::test_at_bits_reads_lowest_bit_first",),
+    ),
+    Mutant(
+        "markings listed from the most marks down",
+        "src/wittcoh/partitions.py",
+        "for r in range(len(parts) + 1)",
+        "for r in reversed(range(len(parts) + 1))",
+        (MARKINGS,),
+    ),
+    Mutant(
+        "markings not checked",
+        "src/wittcoh/partitions.py",
+        "    MarkedPartition(base, parts)  # raises unless every subset is a valid mark tuple\n",
+        "",
+        (MARKINGS,),
+    ),
+    Mutant(
+        "a zero cochain is truthy",
+        "src/wittcoh/cochains.py",
+        "    def __bool__(self) -> bool:\n        return bool(self.terms)\n",
+        "",
+        ("tests/test_cochains.py::test_zero_cochain_is_falsy_and_others_are_not",),
+    ),
+    Mutant(
+        "a cochain sum concatenates",
+        "src/wittcoh/cochains.py",
+        "    def __add__(self, other: \"Cochain\") -> \"Cochain\":\n        return Cochain(self.terms ^ other.terms)\n",
+        "",
+        ("tests/test_cochains.py::test_cochain_sum_is_symmetric_difference",),
+    ),
+    Mutant(
+        "classes of different lengths add",
+        "src/wittcoh/cohomology.py",
+        "if (self.k, self.n, self.q) != (other.k, other.n, other.q):",
+        "if (self.k, self.n) != (other.k, other.n):",
+        ("tests/test_cohomology.py::test_class_sum_adds_coordinates",),
+    ),
+    Mutant(
+        "the tuple wedge keeps a repeated index",
+        "src/wittcoh/cochains.py",
+        "if s1.isdisjoint(m2):",
+        "if True:",
+        ("tests/test_cochains.py::test_wedge_repeated_index_vanishes",),
+    ),
+    Mutant(
+        "the tuple wedge never cancels",
+        "src/wittcoh/cochains.py",
+        "if t in acc:  # a GF(2) sum: a second copy cancels the first",
+        "if False:",
+        ("tests/test_cochains.py::test_char2_square_of_one_cochain",),
+    ),
+    Mutant(
+        "irregular tuples split into the memo",
+        "src/wittcoh/partitions.py",
+        "    prev = parts[0]\n",
+        "    _split(parts, k)\n    prev = parts[0]\n",
+        ("tests/test_partitions.py::test_split_memo_holds_only_regular_tuples",),
+    ),
+    Mutant(
+        "an unchecked marked partition stores its base's length",
+        "src/wittcoh/partitions.py",
+        'object.__setattr__(mp, "length", base.length + len(marks))',
+        'object.__setattr__(mp, "length", base.length)',
+        ("tests/test_partitions.py::test_enumerated_partitions_equal_checked_ones",),
+    ),
+    Mutant(
+        "any marks of a regular base count as regular",
+        "src/wittcoh/partitions.py",
+        "return split is not None and all(m in split[1] for m in mp.marks)",
+        "return split is not None",
+        (SPLIT,),
+    ),
+    Mutant(
+        "a low part reported as irregular",
+        "src/wittcoh/partitions.py",
+        'raise ValueError(f"{p} has a part below the minimal part {k}")',
+        'raise ValueError(f"{p} is not regular")',
+        (SPLIT,),
+    ),
+    Mutant(
+        "the empty tuple has one empty component",
+        "src/wittcoh/partitions.py",
+        "    if parts:\n        out.append(parts[start:])\n",
+        "    out.append(parts[start:])\n",
+        ("tests/test_partitions.py::test_degree_zero_has_the_empty_marked_partition",),
+    ),
+    Mutant(
+        "a variant marks a component of even length",
+        "src/wittcoh/monomials.py",
+        "if len(comp) % 2 == 1 and comp[0] in leads",
+        "if comp[0] in leads",
+        ("tests/test_monomials.py::test_predicted_coboundary_simple",
+         "tests/test_acceptance.py::test_criterion_06_corrected_coboundary_to_24"),
+    ),
+    Mutant(
+        "corrected vectors ignore the marks",
+        "src/wittcoh/monomials.py",
+        "_component_masks(comp, comp[0] in mp.marks)",
+        "_component_masks(comp, False)",
+        ("tests/test_monomials.py::test_corrected_vec_and_variants_match_the_tuple_wedges",),
+    ),
+    Mutant(
+        "the X sum bound tightened",
+        "src/wittcoh/partitions.py",
+        "    top = (total - a * (a + 1)) // 4\n",
+        "    top = (total - a * (a + 1)) // 4 - 1\n",
+        (WORDS, COUNTING),
+    ),
+    Mutant(
+        "the X sum bound loosened",
+        "src/wittcoh/partitions.py",
+        "    top = (total - a * (a + 1)) // 4\n",
+        "    top = (total - a * (a + 1)) // 4 + 1\n",
+        (NO_EMPTY_KEYS,),
+    ),
+    Mutant(
+        "a degree without X parts not pinned",
+        "src/wittcoh/partitions.py",
+        "low = least if a else max(least, top)",
+        "low = least",
+        (NO_EMPTY_KEYS,),
+    ),
+    Mutant(
+        "a degree without Y parts not pinned",
+        "src/wittcoh/partitions.py",
+        "    if not b:\n        top = min(top, 0)\n",
+        "",
+        (NO_EMPTY_KEYS,),
+    ),
+    Mutant(
+        "the least Y sum raised",
+        "src/wittcoh/conjecture.py",
+        "_feasible_degrees(nn, a, b, b * (b + 1) // 2)",
+        "_feasible_degrees(nn, a, b, b * (b + 1) // 2 + 1)",
+        (WORDS,),
+    ),
+    Mutant(
+        "the least Y sum lowered",
+        "src/wittcoh/conjecture.py",
+        "_feasible_degrees(nn, a, b, b * (b + 1) // 2)",
+        "_feasible_degrees(nn, a, b, b * (b + 1) // 2 - 1)",
+        (NO_EMPTY_KEYS,),
+    ),
+    Mutant(
+        "the least L degree raised",
+        "src/wittcoh/partitions.py",
+        "_feasible_degrees(n, a, b, b * b)",
+        "_feasible_degrees(n, a, b, b * b + 1)",
+        (COUNTING,),
+    ),
+    Mutant(
+        "the least L degree lowered",
+        "src/wittcoh/partitions.py",
+        "_feasible_degrees(n, a, b, b * b)",
+        "_feasible_degrees(n, a, b, b * b - 1)",
+        (NO_EMPTY_KEYS,),
+    ),
+    Mutant(
+        "base lengths stop one short",
+        "src/wittcoh/partitions.py",
+        "min(q, max_regular_length(n, k)) + 1",
+        "min(q, max_regular_length(n, k))",
+        (COUNTING,),
+    ),
+    Mutant(
+        "base lengths run one past the longest regular base",
+        "src/wittcoh/partitions.py",
+        "min(q, max_regular_length(n, k)) + 1",
+        "min(q, max_regular_length(n, k) + 1) + 1",
+        (NO_EMPTY_KEYS,),
+    ),
+    Mutant(
+        "an empty bidegree has ideal rank 1",
+        "src/wittcoh/conjecture.py",
+        "    if not pos:\n        return 0\n",
+        "    if not pos:\n        return 1\n",
+        ("tests/test_conjecture.py::test_ideal_rank_bounded_by_ambient",),
     ),
 )
 

@@ -3,7 +3,7 @@ from functools import reduce
 import pytest
 
 import wittcoh
-from wittcoh import conjecture
+from wittcoh import conjecture, partitions
 from wittcoh.cohomology import class_of, cohomology_dim, cup
 from wittcoh.conjecture import (
     BigradedMonomial,
@@ -75,12 +75,30 @@ def test_bidegree_words_match_ascending_tuples_reference():
             table[total, count] = ascending_tuples(total, count, 1, 1)
         return table[total, count]
 
-    for q in range(9):
-        for n in range(40):
-            want = reference_words(q, n, tuples)
-            words, pos = conjecture._bidegree_words(q, n)
-            assert list(words) == want, (q, n)
-            assert pos == {m: i for i, m in enumerate(want)}
+    # q < 9 up to n = 39, and every q < 30 for n < 30, where the bound on the
+    # Y index sum prunes most
+    keys = {(q, n) for q in range(9) for n in range(40)} | {(q, n) for q in range(30) for n in range(30)}
+    for q, n in sorted(keys):
+        want = reference_words(q, n, tuples)
+        words, pos = conjecture._bidegree_words(q, n)
+        assert list(words) == want, (q, n)
+        assert pos == {m: i for i, m in enumerate(want)}
+
+
+def test_scan_enumerates_no_empty_part_tuples(monkeypatch):
+    # from cold caches; the word, pair and base loops stop at their last
+    # feasible key, where unbounded loops asked for 613 tuple lists, 509 empty
+    lengths = []
+
+    def counted(*key):
+        out = ascending_tuples(*key)
+        lengths.append(len(out))
+        return out
+
+    wittcoh.clear_caches()
+    monkeypatch.setattr(partitions, "ascending_tuples", counted)
+    scan(24)
+    assert (len(lengths), lengths.count(0)) == (104, 0)
 
 
 def test_multiply_square_free():
