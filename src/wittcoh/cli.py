@@ -172,7 +172,7 @@ def cmd_conjecture(args: argparse.Namespace, stdout, stderr) -> int:
     findings = report.findings()
     hilbert = sum(1 for c in report.hilbert_cells if not c.equal)
     counting = sum(1 for c in report.counting_cells if not c.equal)
-    consistent = hilbert == counting == 0
+    consistent = report.hilbert_ok and report.counting_ok
     rows = [
         ["hilbert", len(report.hilbert_cells), hilbert],
         ["counting", len(report.counting_cells), counting],

@@ -32,7 +32,7 @@ from .cochains import Cochain, wedge
 from .cohomology import cohomology_dim
 from .gf2 import Gf2Span
 from .monomials import e_cocycle, x_cocycle, y_cocycle
-from .partitions import _feasible_degrees, _partitions, even_component_marked, strict_regular_pairs
+from .partitions import _factor_lists, even_component_marked, strict_regular_pairs
 
 
 class BigradedMonomial(NamedTuple):
@@ -78,20 +78,10 @@ def multiply(a: BigradedMonomial, b: BigradedMonomial) -> BigradedMonomial | Non
 def _bidegree_words(q: int, n: int) -> tuple[tuple[BigradedMonomial, ...], dict[BigradedMonomial, int]]:
     """The square-free words of bidegree (q, n), sorted, and each word's
     position; memoized per bidegree."""
-    if q < 0 or n < 0:
-        return (), {}
     out = []
     for has_e in (False, True):
-        qq, nn = q - has_e, n - has_e
-        if qq < 0 or nn < 0:
-            continue
-        for b in range(qq // 2 + 1):
-            a = qq - 2 * b
-            for y_deg in _feasible_degrees(nn, a, b, b * (b + 1) // 2):
-                ys_list = _partitions(y_deg, b, 1, 1)
-                for xs in _partitions((nn - 4 * y_deg) // 2, a, 1, 1):
-                    for ys in ys_list:
-                        out.append(BigradedMonomial(bool(has_e), xs.parts, ys.parts))
+        for xs, ys in _factor_lists(n - has_e, q - has_e, 1):
+            out.extend(BigradedMonomial(has_e, x.parts, y.parts) for x in xs for y in ys)
     out.sort(key=lambda m: (m.has_e, m.xs, m.ys))
     return tuple(out), {m: i for i, m in enumerate(out)}
 

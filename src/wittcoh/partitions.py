@@ -17,6 +17,12 @@ subset of those (or, for singular ones, any subset of their parts).
 ``compare`` implements the degree-preserving partial order used for all
 triangularity statements: fewer parts first, then prefix-sum dominance,
 then lexicographic comparison of mark sets.
+
+Each rule has one owner here.  ``_split`` alone cuts a regular shape into
+its components and picks its leading parts; everything that needs either
+reads it.  ``_special_top`` is the one spelling of the special bound.
+``_factor_lists`` is the one walk over the feasible keys of a bidegree,
+shared by the conjecture's words and the strict/regular pairs.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .caching import cached, kept
 
@@ -126,9 +132,17 @@ def is_dense(p: Partition) -> bool:
     return all(b - a == 2 for a, b in zip(p.parts, p.parts[1:]))
 
 
+def _special_top(q: int, k: int) -> int:
+    """The largest part of a special k-partition of length q: the one
+    spelling of the special bound ``2*(k+q-1)``."""
+    if q < 1 or k < 1:
+        raise ValueError("needs q >= 1 and k >= 1")
+    return 2 * (k + q - 1) - 1
+
+
 def _special_parts(parts: tuple[int, ...], k: int) -> bool:
     """Special, for a regular part tuple with every part >= k."""
-    return parts[-1] < 2 * (k + len(parts) - 1)
+    return parts[-1] <= _special_top(len(parts), k)
 
 
 def is_special(p: Partition, k: int = 1) -> bool:
@@ -146,39 +160,31 @@ def is_odd(p: Partition) -> bool:
     return all(x % 2 == 1 for x in p.parts)
 
 
-def _components(parts: tuple[int, ...], k: int) -> list[tuple[int, ...]]:
-    """The canonical decomposition of a regular part tuple, in one scan; the
-    empty tuple has no components.
-
-    A simple component grown by a gap of exactly 2 stays simple: a dense one
-    stays dense, and a special one stays special, as its bound
-    ``2*(k+len-1)`` grows by 2 as well.  Across a wider gap it stays simple
-    only if it is special at its new length.  Simplicity is prefix-closed, so
-    cutting at the first part that fails gives the longest simple prefix.
-    """
-    out = []
-    start = 0
-    for i in range(1, len(parts)):
-        if parts[i] - parts[i - 1] != 2 and parts[i] >= 2 * (k + i - start):
-            out.append(parts[start:i])
-            start = i
-    if parts:
-        out.append(parts[start:])
-    return out
-
-
-def _leading(comps: list[tuple[int, ...]], k: int) -> list[int]:
-    return [c[0] for c in comps if not _special_parts(c, k) and all(x % 2 for x in c)]
-
-
 @cached
 def _split(parts: tuple[int, ...], k: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """The simple components and the leading parts of a nonempty regular
-    part tuple with every part >= k.  Memoized per key, so each shape is
-    split once; callers test regularity first (``_regular_split``), so no
-    irregular tuple enters the memo."""
-    comps = _components(parts, k)
-    return tuple(comps), tuple(_leading(comps, k))
+    """The canonical decomposition and the leading parts of a regular part
+    tuple with every part >= k, in one scan; the empty tuple has no
+    components.  This is the one place a shape is cut and its leads picked.
+    Memoized per key, so each shape is split once; callers pass enumerated
+    regular bases or test regularity first (``_regular_split``), so no
+    irregular tuple enters the memo.
+
+    A simple component grown by a gap of exactly 2 stays simple: a dense one
+    stays dense, and a special one stays special, as its bound grows by 2 as
+    well.  Across a wider gap it stays simple only if it is special at its
+    new length.  Simplicity is prefix-closed, so cutting at the first part
+    that fails gives the longest simple prefix.
+    """
+    comps = []
+    start = 0
+    for i in range(1, len(parts)):
+        if parts[i] - parts[i - 1] != 2 and parts[i] > _special_top(i - start + 1, k):
+            comps.append(parts[start:i])
+            start = i
+    if parts:
+        comps.append(parts[start:])
+    leads = tuple(c[0] for c in comps if not _special_parts(c, k) and all(x % 2 for x in c))
+    return tuple(comps), leads
 
 
 def _regular_split(parts: tuple[int, ...], k: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]] | None:
@@ -359,8 +365,8 @@ def _bases_and_leads(n: int, m: int, k: int) -> tuple[tuple[Partition, tuple[int
     whether all its simple components have even degree; memoized per key."""
     out = []
     for base in _partitions(n, m, k, 2):
-        comps = _components(base.parts, k)
-        out.append((base, tuple(_leading(comps, k)), all(sum(c) % 2 == 0 for c in comps)))
+        comps, leads = _split(base.parts, k)
+        out.append((base, leads, all(sum(c) % 2 == 0 for c in comps)))
     return tuple(out)
 
 
@@ -400,25 +406,37 @@ def cohomology_partitions(n: int, k: int = 1) -> list[Partition]:
     out = []
     for q in range(1, max_regular_length(n, k) + 1):
         for p in _partitions(n, q, k, 2):
-            comps = _components(p.parts, k)
-            if all(_special_parts(c, k) or sum(c) % 2 == 0 for c in comps):
+            if all(_special_parts(c, k) or sum(c) % 2 == 0 for c in _split(p.parts, k)[0]):
                 out.append(p)
     out.sort(key=lambda p: p.parts)
     return out
 
 
-def _feasible_degrees(total: int, a: int, b: int, least: int) -> range:
+def _feasible_degrees(total: int, a: int, b: int, gap: int) -> range:
     """The degrees y with total = 2x + 4y where x is a sum of a distinct
-    positive parts and y a sum of b parts: x >= a(a+1)/2, y >= least (the
-    least sum of the b parts), and each sum is 0 when it has no parts.  The
-    word and pair enumerators loop over these, so they meet no empty key."""
+    positive parts and y a sum of b positive parts at least `gap` apart:
+    x >= a(a+1)/2, y >= b + gap*b(b-1)/2, and each sum is 0 when it has no
+    parts."""
     if total % 2 or (not a and total % 4):
         return range(0)
     top = (total - a * (a + 1)) // 4
+    least = b + gap * b * (b - 1) // 2
     low = least if a else max(least, top)  # with no x parts, 4y is all of total
     if not b:
         top = min(top, 0)
     return range(low, top + 1)
+
+
+def _factor_lists(total: int, q: int, gap: int) -> Iterator[tuple[tuple[Partition, ...], tuple[Partition, ...]]]:
+    """The strict K-list and the `gap`-spaced L-list of every feasible key
+    (a, b, deg L) with a + 2b = q and 2*deg(K) + 4*deg(L) = total: K has a
+    distinct parts, L has b parts, and both lists are nonempty.  The words
+    of ``conjecture`` (gap 1: X and Y indices) and the strict/regular pairs
+    (gap 2) loop over these, so they meet no empty key."""
+    for b in range(q // 2 + 1):
+        a = q - 2 * b
+        for deg in _feasible_degrees(total, a, b, gap):
+            yield _partitions((total - 4 * deg) // 2, a, 1, 1), _partitions(deg, b, 1, gap)
 
 
 def strict_regular_pairs(n: int, q: int) -> list[tuple[Partition, Partition]]:
@@ -426,20 +444,16 @@ def strict_regular_pairs(n: int, q: int) -> list[tuple[Partition, Partition]]:
     2*deg(K) + 4*deg(L) = n, with every odd part of K at distance >= 2
     from every part of L.  Either partition may be empty."""
     out = []
-    for b in range(q // 2 + 1):
-        a = q - 2 * b
-        for l_deg in _feasible_degrees(n, a, b, b * b):  # b*b = 1+3+...+(2b-1)
-            ks = _partitions((n - 4 * l_deg) // 2, a, 1, 1)
-            ls = _partitions(l_deg, b, 1, 2)
-            for K in ks:
-                for L in ls:
-                    if all(
-                        abs(ki - lj) >= 2
-                        for ki in K.parts
-                        if ki % 2 == 1
-                        for lj in L.parts
-                    ):
-                        out.append((K, L))
+    for ks, ls in _factor_lists(n, q, 2):
+        for K in ks:
+            for L in ls:
+                if all(
+                    abs(ki - lj) >= 2
+                    for ki in K.parts
+                    if ki % 2 == 1
+                    for lj in L.parts
+                ):
+                    out.append((K, L))
     out.sort(key=lambda kl: (kl[0].parts, kl[1].parts))
     return out
 
@@ -451,31 +465,18 @@ def even_component_marked(n: int, q: int) -> list[MarkedPartition]:
 
 
 def special_partitions(q: int, k: int) -> list[Partition]:
-    """All special k-partitions of length q, by direct enumeration."""
-    out: list[tuple[int, ...]] = []
-    _special(out, (), k, q, _special_top(q, k))
-    return list(map(Partition._unchecked, out))
-
-
-def _special_top(q: int, k: int) -> int:
-    """The largest part of a special k-partition of length q."""
-    if q < 1 or k < 1:
-        raise ValueError("needs q >= 1 and k >= 1")
-    return 2 * (k + q - 1) - 1
-
-
-def _special(out: list, prefix: tuple[int, ...], lo: int, slots: int, hi: int) -> None:
-    """Append to out every completion of prefix by parts in [lo, hi] with
-    gaps >= 2 (module level, as ``_ascending``, so no cycle holds out)."""
-    if slots == 0:
-        out.append(prefix)
-        return
-    for a in range(lo, hi - 2 * (slots - 1) + 1):
-        _special(out, prefix + (a,), a + 2, slots - 1, hi)
+    """All special k-partitions of length q: the regular ones, of each degree
+    they can have, whose largest part is at most ``_special_top``.  Tests
+    read it as the reference for ``count_special``."""
+    top = _special_top(q, k)
+    degrees = range(q * k + q * (q - 1), q * top - q * (q - 1) + 1)
+    special = (p for n in degrees for p in _partitions(n, q, k, 2) if p.parts[-1] <= top)
+    return sorted(special, key=lambda p: p.parts)
 
 
 def count_special(q: int, k: int) -> int:
-    """``len(special_partitions(q, k))``, counted over the same tree without a list."""
+    """``len(special_partitions(q, k))``, counted over the tree of parts in
+    [k, ``_special_top``] with gaps >= 2, without a list."""
     return _count_special(k, q, _special_top(q, k))
 
 

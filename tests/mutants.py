@@ -47,6 +47,7 @@ COMPARE = "tests/test_partitions.py::test_compare_examples"
 WORDS = "tests/test_conjecture.py::test_bidegree_words_match_ascending_tuples_reference"
 COUNTING = "tests/test_partitions.py::test_counting_enumerators_match_unmemoized_references"
 NO_EMPTY_KEYS = "tests/test_conjecture.py::test_scan_enumerates_no_empty_part_tuples"
+SPECIAL_COUNTS = "tests/test_partitions.py::test_special_counts_match_binomial"
 MARKINGS = "tests/test_partitions.py::test_markings_are_the_checked_subsets_in_order"
 
 MUTANTS = (
@@ -188,8 +189,8 @@ MUTANTS = (
     Mutant(
         "a gap of 2 cuts a component too",
         "src/wittcoh/partitions.py",
-        "if parts[i] - parts[i - 1] != 2 and parts[i] >= 2 * (k + i - start):",
-        "if parts[i] >= 2 * (k + i - start):",
+        "if parts[i] - parts[i - 1] != 2 and parts[i] > _special_top(i - start + 1, k):",
+        "if parts[i] > _special_top(i - start + 1, k):",
         (SPLIT,),
     ),
     Mutant(
@@ -201,10 +202,38 @@ MUTANTS = (
         "only regular tuples are split, and their gaps are all at least 2",
     ),
     Mutant(
-        "a part at the special bound stays in its component",
+        "a part just past the special top stays in its component",
         "src/wittcoh/partitions.py",
-        "parts[i] >= 2 * (k + i - start):",
-        "parts[i] > 2 * (k + i - start):",
+        "parts[i] > _special_top(i - start + 1, k):",
+        "parts[i] > _special_top(i - start + 1, k) + 1:",
+        (SPLIT,),
+    ),
+    Mutant(
+        "a part at the special top cuts a component",
+        "src/wittcoh/partitions.py",
+        "parts[i] > _special_top(i - start + 1, k):",
+        "parts[i] >= _special_top(i - start + 1, k):",
+        (SPLIT,),
+    ),
+    Mutant(
+        "the special bound one higher",
+        "src/wittcoh/partitions.py",
+        "    return 2 * (k + q - 1) - 1\n",
+        "    return 2 * (k + q - 1)\n",
+        (SPLIT,),
+    ),
+    Mutant(
+        "special components lead",
+        "src/wittcoh/partitions.py",
+        "if not _special_parts(c, k) and all(x % 2 for x in c)",
+        "if all(x % 2 for x in c)",
+        (SPLIT,),
+    ),
+    Mutant(
+        "a cohomology shape needs components both special and even",
+        "src/wittcoh/partitions.py",
+        "_special_parts(c, k) or sum(c) % 2 == 0",
+        "_special_parts(c, k) and sum(c) % 2 == 0",
         (SPLIT,),
     ),
     Mutant(
@@ -247,7 +276,14 @@ MUTANTS = (
         "src/wittcoh/partitions.py",
         "        return hi - lo + 1\n",
         "        return hi - lo\n",
-        ("tests/test_partitions.py::test_special_counts_match_binomial",),
+        (SPECIAL_COUNTS,),
+    ),
+    Mutant(
+        "the special reference drops the top part",
+        "src/wittcoh/partitions.py",
+        "if p.parts[-1] <= top)",
+        "if p.parts[-1] < top)",
+        (SPECIAL_COUNTS,),
     ),
     Mutant(
         "product relations checked to half of n_max",
@@ -343,8 +379,8 @@ MUTANTS = (
     Mutant(
         "the empty tuple has one empty component",
         "src/wittcoh/partitions.py",
-        "    if parts:\n        out.append(parts[start:])\n",
-        "    out.append(parts[start:])\n",
+        "    if parts:\n        comps.append(parts[start:])\n",
+        "    comps.append(parts[start:])\n",
         ("tests/test_partitions.py::test_degree_zero_has_the_empty_marked_partition",),
     ),
     Mutant(
@@ -391,32 +427,25 @@ MUTANTS = (
         (NO_EMPTY_KEYS,),
     ),
     Mutant(
-        "the least Y sum raised",
-        "src/wittcoh/conjecture.py",
-        "_feasible_degrees(nn, a, b, b * (b + 1) // 2)",
-        "_feasible_degrees(nn, a, b, b * (b + 1) // 2 + 1)",
-        (WORDS,),
+        "the least Y/L sum raised",
+        "src/wittcoh/partitions.py",
+        "least = b + gap * b * (b - 1) // 2",
+        "least = b + gap * b * (b - 1) // 2 + 1",
+        (WORDS, COUNTING),
     ),
     Mutant(
-        "the least Y sum lowered",
-        "src/wittcoh/conjecture.py",
-        "_feasible_degrees(nn, a, b, b * (b + 1) // 2)",
-        "_feasible_degrees(nn, a, b, b * (b + 1) // 2 - 1)",
+        "the least Y/L sum lowered",
+        "src/wittcoh/partitions.py",
+        "least = b + gap * b * (b - 1) // 2",
+        "least = b + gap * b * (b - 1) // 2 - 1",
         (NO_EMPTY_KEYS,),
     ),
     Mutant(
-        "the least L degree raised",
+        "the pairs' L parts spaced as the Y indices",
         "src/wittcoh/partitions.py",
-        "_feasible_degrees(n, a, b, b * b)",
-        "_feasible_degrees(n, a, b, b * b + 1)",
+        "_factor_lists(n, q, 2)",
+        "_factor_lists(n, q, 1)",
         (COUNTING,),
-    ),
-    Mutant(
-        "the least L degree lowered",
-        "src/wittcoh/partitions.py",
-        "_feasible_degrees(n, a, b, b * b)",
-        "_feasible_degrees(n, a, b, b * b - 1)",
-        (NO_EMPTY_KEYS,),
     ),
     Mutant(
         "base lengths stop one short",

@@ -244,6 +244,18 @@ def test_split_matches_the_definitions_on_every_partition():
                         for marks in combinations(distinct, r):
                             expected = comps is not None and set(marks) <= set(leads)
                             assert is_regular_marked(MarkedPartition(p, marks), k) is expected
+    # the cohomology basis is indexed by the regular shapes whose every
+    # component is special or of even degree
+    for k in range(1, 5):
+        for n in range(31):
+            want = []
+            for q in range(1, n + 1):
+                for p in regular_partitions(n, q, k):
+                    comps, _ = reference_split(p, k)
+                    if all(c[-1] < 2 * (k + len(c) - 1) or sum(c) % 2 == 0 for c in comps):
+                        want.append(p)
+            want.sort(key=lambda p: p.parts)
+            assert cohomology_partitions(n, k) == want, (n, k)
 
 
 # --- the triangular order ---------------------------------------------------
