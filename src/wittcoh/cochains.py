@@ -17,10 +17,11 @@ The complex splits into finite blocks by degree n (index sum) and length q;
 ``graded_slice`` materializes one block's monomial basis together with the
 matrix of the coboundary into the next block, and ``wedge_coords``, the
 product behind ``cup``, wedges two blocks' vectors in those coordinates.
-``SliceBasis`` is a labelled basis of a block modulo an image.  One
-enumeration pass gives a block's monomials and their index masks
-(``_monomials``), and each generator's coboundary on index masks is
-memoized once per minimal index (``_pair_masks``).
+``SliceBasis`` is a labelled basis of a block modulo an image.  The
+monomials with their index masks (``_monomials``), the generator pairs and
+``max_length`` come from ``partitions``, which owns every tuple walk and
+length bound.  Each generator's coboundary on index masks is memoized once
+per minimal index (``_pair_masks``).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .caching import cached, clear_all, kept
 from .gf2 import BitMatrix, Gf2Span
+from .partitions import _ascending, _longest, ascending_tuples
 
 Monomial = tuple[int, ...]
 
@@ -128,7 +130,7 @@ def wedge(a: Cochain, b: Cochain) -> Cochain:
 def _generator_pairs(i: int, k: int) -> list[tuple[int, int]]:
     if i % 2 == 0:  # the coefficient a+b = i vanishes mod 2
         return []
-    pairs = [(a, i - a) for a in range(k, (i - 1) // 2 + 1)]
+    pairs = ascending_tuples(i, 2, k, 1)
     if _corrupted_index == i and pairs:
         pairs = pairs[:-1]
     return pairs
@@ -335,33 +337,12 @@ class SliceBasis:
 def _monomials(k: int, n: int, q: int) -> tuple[tuple[Monomial, ...], tuple[int, ...], dict[int, int]]:
     """The (n, q) monomial basis, the index mask of each basis monomial, and
     each mask's position: the basis of slice q >= 1 and the target of slice
-    q-1.  Tuples and masks come from one pass, in ``strict_index_tuples``'
-    order."""
+    q-1.  Tuples and masks come from one pass of ``partitions._ascending``,
+    in ``strict_index_tuples``' order."""
     basis: list[Monomial] = []
     masks: list[int] = []
-    _fill_monomials(basis, masks, (), 0, n, k, q, k)
+    _ascending(basis, masks, (), 0, n, k, q, 1, k)
     return tuple(basis), tuple(masks), {m: i for i, m in enumerate(masks)}
-
-
-def _fill_monomials(
-    basis: list, masks: list, prefix: Monomial, pmask: int, remaining: int, lo: int, slots: int, k: int
-) -> None:
-    """Append to basis each strictly increasing completion of prefix by
-    `slots` indices >= lo that sum to remaining, and to masks its index mask
-    (pmask is prefix's).  Module level, as ``partitions._ascending``, so no
-    reference cycle keeps the lists alive."""
-    if slots > 2:
-        hi = (remaining - slots * (slots - 1) // 2) // slots  # a, a+1, ... must fit
-        for a in range(lo, hi + 1):
-            _fill_monomials(basis, masks, prefix + (a,), pmask | 1 << (a - k), remaining - a, a + 1, slots - 1, k)
-    elif slots == 2:
-        for a in range(lo, (remaining - 1) // 2 + 1):  # a < remaining - a
-            b = remaining - a
-            basis.append(prefix + (a, b))
-            masks.append(pmask | 1 << (a - k) | 1 << (b - k))
-    elif slots == 1 and remaining >= lo:
-        basis.append(prefix + (remaining,))
-        masks.append(pmask | 1 << (remaining - k))
 
 
 @kept
@@ -424,7 +405,4 @@ def wedge_coords(a: GradedSlice, va: int, b: GradedSlice, vb: int) -> int:
 @kept
 def max_length(k: int, n: int) -> int:
     """Largest q with a nonempty (n, q) slice for minimal index k."""
-    q = 0
-    while (q + 1) * k + q * (q + 1) // 2 <= n:  # minimal sum of q+1 distinct indices >= k
-        q += 1
-    return q
+    return _longest(n, k, 1)

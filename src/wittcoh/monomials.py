@@ -72,8 +72,6 @@ def markable_parts(base: Partition) -> tuple[int, ...]:
 def _require_wedge_base(base: Partition) -> None:
     if base.length == 0:
         raise ValueError("empty partition has no wedge monomial")
-    if base.parts[0] < 1:
-        raise ValueError("marked wedges need parts >= 1")
 
 
 def marked_wedge(mp: MarkedPartition) -> Cochain | None:
@@ -167,8 +165,6 @@ def simple_corrected(p: Partition, marked: bool = False) -> Cochain | None:
     """Corrected wedge of a dense partition; None for a disallowed mark."""
     if not is_dense(p):
         raise ValueError(f"{p} is not dense")
-    if p.parts[0] < 1:
-        raise ValueError("needs parts >= 1")
     if not is_odd(p) or is_special(p, 1):
         # even or special components admit no mark and need no correction
         return None if marked else marked_wedge(MarkedPartition(p, ()))

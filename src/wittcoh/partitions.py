@@ -22,7 +22,10 @@ Each rule has one owner here.  ``_split`` alone cuts a regular shape into
 its components and picks its leading parts; everything that needs either
 reads it.  ``_special_top`` is the one spelling of the special bound.
 ``_factor_lists`` is the one walk over the feasible keys of a bidegree,
-shared by the conjecture's words and the strict/regular pairs.
+shared by the conjecture's words and the strict/regular pairs.  Every tuple
+walk and length bound of the package is here too: ``_ascending`` walks the
+ascending tuples of a sum (the cochain monomials with their index masks as
+well as the partitions), and ``_longest`` bounds their length.
 """
 
 from __future__ import annotations
@@ -299,26 +302,40 @@ def ascending_tuples(total: int, count: int, lowest: int, min_gap: int) -> list[
     """All tuples of `count` integers summing to `total`, first entry >= lowest,
     successive entries increasing by at least `min_gap`."""
     out: list[tuple[int, ...]] = []
-    _ascending(out, (), total, lowest, count, min_gap)
+    _ascending(out, None, (), 0, total, lowest, count, min_gap, lowest)
     return out
 
 
-def _ascending(out: list, prefix: tuple[int, ...], remaining: int, lo: int, slots: int, min_gap: int) -> None:
-    """Append to out every completion of prefix by ``ascending_tuples``' rule.
-
-    A module-level recursion rather than a closure: a closure that calls
-    itself is a reference cycle, which keeps out alive until a full GC."""
-    if slots == 0:
-        if remaining == 0:
-            out.append(prefix)
-        return
-    if slots == 1:
+def _ascending(
+    out: list, masks: list | None, prefix: tuple, pmask: int, remaining: int, lo: int, slots: int, gap: int, lowest: int
+) -> None:
+    """Append to out every completion of prefix by ``ascending_tuples``' rule,
+    and to masks, unless it is None, its bitmask: bit e - lowest for each
+    entry e (pmask is prefix's).  A module-level recursion, as a closure that
+    calls itself is a reference cycle, which keeps out alive until a full GC."""
+    if slots > 2:
+        hi = (remaining - gap * slots * (slots - 1) // 2) // slots  # a, a + gap, ... must fit
+        for a in range(lo, hi + 1):
+            _ascending(out, masks, prefix + (a,), pmask | 1 << (a - lowest), remaining - a, a + gap, slots - 1, gap, lowest)
+    elif slots == 2:
+        firsts = range(lo, (remaining - gap) // 2 + 1)  # a + gap <= remaining - a
+        if masks is None:
+            for a in firsts:
+                out.append(prefix + (a, remaining - a))
+        else:
+            for a in firsts:
+                b = remaining - a
+                out.append(prefix + (a, b))
+                masks.append(pmask | 1 << (a - lowest) | 1 << (b - lowest))
+    elif slots == 1:
         if remaining >= lo:
             out.append(prefix + (remaining,))
-        return
-    hi = (remaining - min_gap * slots * (slots - 1) // 2) // slots
-    for a in range(lo, hi + 1):
-        _ascending(out, prefix + (a,), remaining - a, a + min_gap, slots - 1, min_gap)
+            if masks is not None:
+                masks.append(pmask | 1 << (remaining - lowest))
+    elif slots == 0 and remaining == 0:
+        out.append(prefix)
+        if masks is not None:
+            masks.append(pmask)
 
 
 def strict_index_tuples(n: int, q: int, min_index: int) -> list[tuple[int, ...]]:
@@ -337,8 +354,6 @@ def _partitions(n: int, q: int, lowest: int, gap: int) -> tuple[Partition, ...]:
 
 
 def strict_partitions(n: int, q: int, min_part: int = 1) -> list[Partition]:
-    if min_part < 1:
-        raise ValueError("strict partitions need a positive minimal part")
     return list(_partitions(n, q, min_part, 1))
 
 
@@ -347,16 +362,20 @@ def all_partitions(n: int, q: int) -> list[Partition]:
 
 
 def regular_partitions(n: int, q: int, min_part: int = 1) -> list[Partition]:
-    if min_part < 1:
-        raise ValueError("regular partitions need a positive minimal part")
     return list(_partitions(n, q, min_part, 2))
 
 
-def max_regular_length(n: int, min_part: int) -> int:
+def _longest(total: int, lowest: int, gap: int) -> int:
+    """The largest count of ``_ascending``'s tuples of sum total: q stops
+    where the least sum of q + 1 entries >= lowest, gap apart, exceeds it."""
     q = 0
-    while (q + 1) * min_part + q * (q + 1) <= n:  # min sum of q+1 parts with gap 2
+    while (q + 1) * lowest + gap * q * (q + 1) // 2 <= total:
         q += 1
     return q
+
+
+def max_regular_length(n: int, min_part: int) -> int:
+    return _longest(n, min_part, 2)
 
 
 @cached

@@ -49,6 +49,8 @@ COUNTING = "tests/test_partitions.py::test_counting_enumerators_match_unmemoized
 NO_EMPTY_KEYS = "tests/test_conjecture.py::test_scan_enumerates_no_empty_part_tuples"
 SPECIAL_COUNTS = "tests/test_partitions.py::test_special_counts_match_binomial"
 MARKINGS = "tests/test_partitions.py::test_markings_are_the_checked_subsets_in_order"
+WALKER = "tests/test_partitions.py::test_ascending_tuples_match_brute_force"
+MONOMIALS = "tests/test_cochains.py::test_monomials_match_index_combinations"
 
 MUTANTS = (
     Mutant(
@@ -460,6 +462,49 @@ MUTANTS = (
         "min(q, max_regular_length(n, k)) + 1",
         "min(q, max_regular_length(n, k) + 1) + 1",
         (NO_EMPTY_KEYS,),
+    ),
+    Mutant(
+        "the two-slot leaf without its gap",
+        "src/wittcoh/partitions.py",
+        "range(lo, (remaining - gap) // 2 + 1)",
+        "range(lo, remaining // 2 + 1)",
+        (WALKER,),
+    ),
+    Mutant(
+        "the walker's inner bound one lower",
+        "src/wittcoh/partitions.py",
+        "hi = (remaining - gap * slots * (slots - 1) // 2) // slots",
+        "hi = (remaining - gap * slots * (slots - 1) // 2) // slots - 1",
+        (WALKER,),
+    ),
+    Mutant(
+        "the walker's inner bound one higher",
+        "src/wittcoh/partitions.py",
+        "hi = (remaining - gap * slots * (slots - 1) // 2) // slots",
+        "hi = (remaining - gap * slots * (slots - 1) // 2) // slots + 1",
+        (),
+        "past the bound the least completion's sum exceeds remaining, so the extra calls yield nothing",
+    ),
+    Mutant(
+        "a mask bit taken from the current lowest entry",
+        "src/wittcoh/partitions.py",
+        "pmask | 1 << (a - lowest), remaining - a",
+        "pmask | 1 << (a - lo), remaining - a",
+        (MONOMIALS,),
+    ),
+    Mutant(
+        "the count-0 leaf accepts a nonzero remainder",
+        "src/wittcoh/partitions.py",
+        "elif slots == 0 and remaining == 0:",
+        "elif slots == 0:",
+        (WALKER,),
+    ),
+    Mutant(
+        "the longest length stops before a tuple that fits exactly",
+        "src/wittcoh/partitions.py",
+        "gap * q * (q + 1) // 2 <= total:",
+        "gap * q * (q + 1) // 2 < total:",
+        ("tests/test_cochains.py::test_max_length",),
     ),
     Mutant(
         "an empty bidegree has ideal rank 1",

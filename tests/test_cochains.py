@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -19,7 +20,7 @@ from wittcoh.cochains import (
     wedge,
     wedge_coords,
 )
-from wittcoh.partitions import strict_index_tuples
+from wittcoh.partitions import max_regular_length
 
 
 def c(*monos):
@@ -221,15 +222,18 @@ def test_pair_masks_hold_one_entry_per_generator():
     assert _pair_masks.cache_info().currsize <= 31
 
 
-def test_monomials_match_strict_index_tuples():
-    # one pass for tuples and masks, against the partition enumerator and
+def test_monomials_match_index_combinations():
+    # one pass for tuples and masks, against a brute force over the indices
+    # (a q-monomial's largest index is at most n - (q-1)k - (q-1)(q-2)/2) and
     # _index_mask; q = max_length + 1 gives the empty blocks, k = -1 the
     # index n + 1
     for k in (-1, 0, 1, 2, 3, 4):
-        for n in range(k - 1, 31):
+        for n in range(k - 1, 23):
             for q in range(1, max_length(k, n) + 2):
+                top = n - (q - 1) * k - (q - 1) * (q - 2) // 2
+                want = tuple(t for t in combinations(range(k, top + 1), q) if sum(t) == n)
                 basis, masks, pos = _monomials(k, n, q)
-                assert basis == tuple(strict_index_tuples(n, q, k)), (k, n, q)
+                assert basis == want, (k, n, q)
                 assert masks == tuple(_index_mask(m, k) for m in basis), (k, n, q)
                 assert pos == {m: i for i, m in enumerate(masks)}, (k, n, q)
     assert _monomials(-1, 5, 2)[0][0] == (-1, 6)
@@ -341,6 +345,12 @@ def test_max_length():
         for n in range(-4, 80):
             want = max([0] + [q for q in range(1, 40) if least[q] <= n])
             assert max_length(k, n) == want, (k, n)
+    # and for regular partitions, whose parts >= m are at least 2 apart
+    for m in (1, 2, 3):
+        least = [q * m + q * (q - 1) for q in range(40)]
+        for n in range(-4, 80):
+            want = max([0] + [q for q in range(1, 40) if least[q] <= n])
+            assert max_regular_length(n, m) == want, (m, n)
 
 
 def test_at_bits_reads_lowest_bit_first():

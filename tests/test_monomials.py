@@ -66,6 +66,12 @@ def test_marked_wedge_collapses():
     assert marked_wedge(M((1,), (1,))) is None
 
 
+def test_marked_wedges_of_the_empty_partition_raise():
+    for wedge_of in (marked_wedge, marked_vec):
+        with pytest.raises(ValueError, match="empty partition has no wedge monomial"):
+            wedge_of(M(()))
+
+
 def reference_marked_wedge(mp):
     """The product over the parts from the unit, each factor built afresh."""
     out = Cochain.unit()

@@ -1,7 +1,7 @@
 import importlib
 import math
 import tracemalloc
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -658,3 +658,21 @@ def test_special_enumeration_members():
 def test_ascending_tuples_empty_cases():
     assert ascending_tuples(0, 0, 1, 1) == [()]
     assert ascending_tuples(1, 0, 1, 1) == []
+
+
+def test_ascending_tuples_match_brute_force():
+    # the one tuple walker against itertools, in the same lexicographic
+    # order: strict tuples for gap 1, strict ones with gaps >= 2 for gap 2,
+    # weakly increasing ones for gap 0; an entry is at most total minus the
+    # least sum of the others
+    for lowest in (-1, 0, 1, 2):
+        for total in range(-3, 19):
+            for count in range(7):
+                entries = range(lowest, total - (count - 1) * lowest + 1)
+                strict = [t for t in combinations(entries, count) if sum(t) == total]
+                assert ascending_tuples(total, count, lowest, 1) == strict, (total, count, lowest)
+                spaced = [t for t in strict if all(b - a >= 2 for a, b in zip(t, t[1:]))]
+                assert ascending_tuples(total, count, lowest, 2) == spaced, (total, count, lowest)
+                if lowest >= 1:
+                    weak = [t for t in combinations_with_replacement(entries, count) if sum(t) == total]
+                    assert ascending_tuples(total, count, lowest, 0) == weak, (total, count, lowest)
