@@ -28,15 +28,7 @@ from collections import defaultdict
 from typing import NamedTuple
 
 from .caching import cached, kept
-from .cochains import (
-    Cochain,
-    SliceBasis,
-    generator,
-    graded_slice,
-    max_length,
-    wedge,
-    wedge_coords,
-)
+from .cochains import Cochain, SliceBasis, graded_slice, max_length, wedge_coords
 from .partitions import cohomology_partitions, leading_parts
 
 
@@ -252,10 +244,7 @@ def central_extension_basis(n: int) -> list[tuple[str, Cochain]]:
     for a in range(0, (half + 1) // 2):
         b = half - a
         if a < b:
-            out.append((f"u({a},{b})", wedge(generator(2 * a), generator(2 * b))))
+            out.append((f"u({a},{b})", Cochain.from_terms([(2 * a, 2 * b)])))
     if n % 4 == 0:
-        v = Cochain.zero()
-        for r in range(n // 4 + 1):
-            v = v + wedge(generator(half - 2 * r - 1), generator(half + 2 * r + 1))
-        out.append(("v", v))
+        out.append(("v", Cochain.from_terms((half - 2 * r - 1, half + 2 * r + 1) for r in range(n // 4 + 1))))
     return out

@@ -165,12 +165,12 @@ def simple_corrected(p: Partition, marked: bool = False) -> Cochain | None:
     """Corrected wedge of a dense partition; None for a disallowed mark."""
     if not is_dense(p):
         raise ValueError(f"{p} is not dense")
+    plain = Cochain(frozenset({p.parts}))  # the parts of a dense partition increase
     if not is_odd(p) or is_special(p, 1):
         # even or special components admit no mark and need no correction
-        return None if marked else marked_wedge(MarkedPartition(p, ()))
+        return None if marked else plain
     if p.length % 2 == 1:
-        e_i = marked_wedge(MarkedPartition(p, ()))
-        return coboundary(e_i, 1) if marked else e_i
+        return coboundary(plain, 1) if marked else plain
     a = p.parts[0]
     out = Cochain.unit()
     for t in range(p.length // 2):

@@ -51,6 +51,8 @@ SPECIAL_COUNTS = "tests/test_partitions.py::test_special_counts_match_binomial"
 MARKINGS = "tests/test_partitions.py::test_markings_are_the_checked_subsets_in_order"
 WALKER = "tests/test_partitions.py::test_ascending_tuples_match_brute_force"
 MONOMIALS = "tests/test_cochains.py::test_monomials_match_index_combinations"
+FAMILY_SPAN = "tests/test_cohomology.py::test_family_basis_check_works_modulo_coboundaries"
+FRONTIER = "tests/test_cohomology.py::test_prediction_matches_the_recorded_frontier_rows"
 
 MUTANTS = (
     Mutant(
@@ -512,6 +514,78 @@ MUTANTS = (
         "    if not pos:\n        return 0\n",
         "    if not pos:\n        return 1\n",
         ("tests/test_conjecture.py::test_ideal_rank_bounded_by_ambient",),
+    ),
+    Mutant(
+        "the family span read from slice q",
+        "src/wittcoh/verify.py",
+        "Gf2Span(graded_slice(1, n, q - 1).image_basis() if q > 1 else ())",
+        "Gf2Span(graded_slice(1, n, q).image_basis())",
+        (FAMILY_SPAN,),
+    ),
+    Mutant(
+        "an empty family span",
+        "src/wittcoh/verify.py",
+        "Gf2Span(graded_slice(1, n, q - 1).image_basis() if q > 1 else ())",
+        "Gf2Span()",
+        (FAMILY_SPAN,),
+    ),
+    Mutant(
+        "the H^2 dimension read at length 1",
+        "src/wittcoh/verify.py",
+        "dim = cohomology_dim(-1, n, 2)",
+        "dim = cohomology_dim(-1, n, 1)",
+        ("tests/test_cohomology.py::test_central_extension_checks",),
+    ),
+    Mutant(
+        "the marked potential without its first pair",
+        "src/wittcoh/verify.py",
+        "for s in range((a - 1) // 2 + 1))",
+        "for s in range(1, (a - 1) // 2 + 1))",
+        ("tests/test_cohomology.py::test_action_identity_checks",),
+    ),
+    Mutant(
+        "the marked potential without its last pair",
+        "src/wittcoh/verify.py",
+        "for s in range((a - 1) // 2 + 1))",
+        "for s in range((a - 1) // 2))",
+        (),
+        "the last pair is e1 ^ e(2a+2), which is closed (e1 and even generators have zero coboundary), "
+        "so the potential's coboundary, all the check reads, is unchanged",
+    ),
+    Mutant(
+        "the central extension v one pair short",
+        "src/wittcoh/cohomology.py",
+        "for r in range(n // 4 + 1)",
+        "for r in range(n // 4)",
+        ("tests/test_cohomology.py::test_central_extension_basis_values",),
+    ),
+    Mutant(
+        "the z witness one pair short",
+        "src/wittcoh/verify.py",
+        "for m in range((i - 2) // 2 + 1)",
+        "for m in range((i - 2) // 2)",
+        ("tests/test_verify.py::test_product_relations_check_i_up_to_a_quarter_of_n_max",),
+    ),
+    Mutant(
+        "the odd-x witness one pair short",
+        "src/wittcoh/verify.py",
+        "for m in range(1, (i + 1) // 2 + 1)",
+        "for m in range(1, (i + 1) // 2)",
+        ("tests/test_verify.py::test_product_relations_check_i_up_to_a_quarter_of_n_max",),
+    ),
+    Mutant(
+        "a dense component's plain wedge missing its first part",
+        "src/wittcoh/monomials.py",
+        "plain = Cochain(frozenset({p.parts}))",
+        "plain = Cochain(frozenset({p.parts[1:]}))",
+        ("tests/test_monomials.py::test_simple_corrected_examples",),
+    ),
+    Mutant(
+        "the cut's special bound one length too long",
+        "src/wittcoh/partitions.py",
+        "parts[i] > _special_top(i - start + 1, k)",
+        "parts[i] > _special_top(i - start + 2, k)",
+        (FRONTIER,),
     ),
 )
 

@@ -206,6 +206,7 @@ GOLDEN_JSON = [
     (["basis", "--k", "2", "--n-max", "30"], "5b8796d92d7e9c9f96bcb2713c385e52"),
     (["dims", "--k", "0", "--n-max", "30"], "251758ee36dcd59aea0b85fb60752354"),
     (["poincare", "--n-max", "30"], "0ca879134a619873a17678f36ede7965"),
+    (["extensions", "--n-max", "60"], "4313f61f005301a89a7e4e203370a01f"),
 ]
 
 

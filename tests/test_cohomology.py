@@ -1,10 +1,12 @@
 import gc
+import json
+import pathlib
 import random
 
 import pytest
 
-from conftest import P
-from wittcoh import conjecture
+from conftest import M, P
+from wittcoh import caching, conjecture, verify
 from wittcoh.caching import clear_all
 from wittcoh.cochains import (
     Cochain,
@@ -74,6 +76,28 @@ def test_prediction_matches_brute_force_index1():
 def test_prediction_matches_brute_force_higher_index(k):
     for n in range(k, 19):
         assert poincare_predicted(n, k) == poincare_computed(n, k), f"k={k} n={n}"
+
+
+# brute-force dims rows, (k, n) -> {q: dim}, written by tests/make_frontier_rows.py
+FRONTIER_ROWS = pathlib.Path(__file__).with_name("frontier_rows.json")
+
+
+def test_prediction_matches_the_recorded_frontier_rows():
+    rows = json.loads(FRONTIER_ROWS.read_text())["rows"]
+    keys = [(row["k"], row["n"]) for row in rows]
+    assert keys == [(1, n) for n in range(1, 81)] + [(k, n) for k in (2, 3, 4) for n in range(k, 61)]
+    wrong = []
+    for row in rows:
+        k, n = row["k"], row["n"]
+        recorded = {int(q): dim for q, dim in row["dims"].items()}
+        predicted = poincare_predicted(n, k)
+        caching.clear_degree()
+        wrong += [
+            f"k={k} n={n} q={q}: predicted {predicted.get(q, 0)}, recorded {recorded.get(q, 0)}"
+            for q in sorted(set(recorded) | set(predicted))
+            if predicted.get(q, 0) != recorded.get(q, 0)
+        ]
+    assert not wrong, wrong[:10]
 
 
 def test_representatives_deterministic():
@@ -459,6 +483,30 @@ def test_family_basis_check_small():
     assert res.passed, res.failures
 
 
+def test_family_basis_check_works_modulo_coboundaries(monkeypatch):
+    # <1,4> is the one length-2 family member of degree 5, and the image of
+    # slice 1 there is spanned by d(e5): the member moved by it is still a
+    # basis, and d(e5) alone is not
+    shape = M((1, 4))
+    corrected_vec = verify.corrected_vec
+
+    def replaced(keep):
+        def vec(mp):
+            if mp != shape:
+                return corrected_vec(mp)
+            (image,) = graded_slice(1, 5, 1).image_basis()
+            return (corrected_vec(mp) if keep else 0) ^ image
+
+        return vec
+
+    monkeypatch.setattr(verify, "corrected_vec", replaced(keep=True))
+    res = criterion_cocycle_families(16)
+    assert res.passed, res.failures
+    monkeypatch.setattr(verify, "corrected_vec", replaced(keep=False))
+    res = criterion_cocycle_families(16)
+    assert res.failures == ["n=5 q=2: family dependent modulo coboundaries"]
+
+
 def test_family_basis_count_at_12():
     # 7 classes total: 1 + 3 + 3
     assert sum(poincare_computed(12, 1).values()) == 7
@@ -503,6 +551,21 @@ def test_central_extension_basis_values():
 def test_central_extension_checks():
     res = criterion_low_min_index(24)
     assert res.passed, res.failures
+
+
+def test_central_extension_check_catches_a_repeated_cocycle(monkeypatch):
+    # the image of d_1 at minimal index -1 is zero in even degree, so this
+    # is plain dependence: the last member replaced by the first
+    def repeated(n):
+        family = central_extension_basis(n)
+        return family[:-1] + [(family[-1][0], family[0][1])]
+
+    monkeypatch.setattr(verify, "central_extension_basis", repeated)
+    res = criterion_low_min_index(8)
+    assert all(graded_slice(-1, n, 1).rank == 0 for n in (4, 6, 8))
+    assert res.failures == [
+        f"n={n} {central_extension_basis(n)[-1][0]}: dependent modulo coboundaries" for n in (4, 6, 8)
+    ]
 
 
 def test_second_cohomology_dim_formula():
