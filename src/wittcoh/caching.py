@@ -13,9 +13,9 @@ Most memos hold one degree's objects, which no later degree reads.
 ``dims``, ``poincare`` and ``basis`` call ``clear_all`` after each degree;
 ``verify`` and the conjecture scan call ``clear_degree``, which keeps the
 memos registered through ``kept``: results that later degrees read
-(dimensions, words, relations, component masks, generator coboundaries,
-largest lengths and the plain partition lists, which the scan re-reads
-for every lower degree).
+(dimensions, words, relations, the index masks of each wedge factor,
+each generator's coboundary on index masks, largest lengths and the
+plain partition lists, which the scan re-reads for every lower degree).
 """
 
 from __future__ import annotations

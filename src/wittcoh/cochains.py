@@ -3,15 +3,19 @@
 The algebra with minimal index k is spanned by generators e_i (i >= k,
 representing t^{i+1} d/dt) with bracket [e_a, e_b] = (b-a) e_{a+b}.  Chains
 and cochains are identified through the monomial basis, so a cochain here is
-just a GF(2) set of strictly increasing index tuples.  All three operators
-reduce their integer coefficients mod 2 at insertion time:
+just a GF(2) set of strictly increasing index tuples.  Every operator
+below lists the index tuples of its terms and hands them to one GF(2) sum
+(``_sum``), which sorts each tuple and keeps those that occur an odd number
+of times; integer coefficients are reduced mod 2 before a term is listed:
 
+* wedge: the union of each pair of monomials that share no index;
 * coboundary: e_i -> sum of e_a ^ e_b over a+b = i, k <= a < b,
   with coefficient a+b, extended as a derivation;
-* boundary: contracts index pairs (i_a, i_b) with coefficient i_a + i_b,
-  prepending e_{i_a + i_b};
 * generator action: e_r sends each index i_a to i_a - r with coefficient i_a
-  (the module structure of the cochains of an ideal).
+  (the module structure of the cochains of an ideal), extended as a
+  derivation by the same walk (``_derivation``);
+* boundary: contracts index pairs (i_a, i_b) with coefficient i_a + i_b,
+  prepending e_{i_a + i_b}.
 
 The complex splits into finite blocks by degree n (index sum) and length q;
 ``graded_slice`` materializes one block's monomial basis together with the
@@ -27,6 +31,7 @@ per minimal index (``_pair_masks``).
 from __future__ import annotations
 
 from contextlib import contextmanager
+from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .caching import cached, clear_all, kept
@@ -75,13 +80,11 @@ class Cochain(NamedTuple):
 
     @staticmethod
     def from_terms(terms: Iterable[Iterable[int]]) -> "Cochain":
-        acc: set[Monomial] = set()
-        for t in terms:
-            mono = tuple(t)
+        monos = [tuple(t) for t in terms]
+        for mono in monos:
             if any(a >= b for a, b in zip(mono, mono[1:])):
                 raise ValueError(f"indices not strictly increasing: {mono}")
-            acc ^= {mono}
-        return Cochain(frozenset(acc))
+        return _sum(monos)
 
     def support(self) -> list[Monomial]:
         return sorted(self.terms)
@@ -113,18 +116,24 @@ def generator(i: int) -> Cochain:
     return Cochain(frozenset({(i,)}))
 
 
-def wedge(a: Cochain, b: Cochain) -> Cochain:
+def _sum(monomials: Iterable[Monomial]) -> Cochain:
+    """The GF(2) sum of the monomials, each an index tuple in any order: the
+    sorted tuples that occur an odd number of times."""
     acc: set[Monomial] = set()
-    for m1 in a.terms:
-        s1 = set(m1)
-        for m2 in b.terms:
-            if s1.isdisjoint(m2):
-                t = tuple(sorted(m1 + m2))
-                if t in acc:  # a GF(2) sum: a second copy cancels the first
-                    acc.discard(t)
-                else:
-                    acc.add(t)
+    for mono in monomials:
+        acc ^= {tuple(sorted(mono))}  # a second copy cancels the first
     return Cochain(frozenset(acc))
+
+
+def wedge(*factors: Cochain) -> Cochain:
+    """The product of the factors; the unit for none."""
+    if not factors:
+        return Cochain.unit()
+    out = factors[0]
+    for b in factors[1:]:
+        # ``for s1 in [set(m1)]`` binds the index set of m1 once per monomial
+        out = _sum(m1 + m2 for m1 in out.terms for s1 in [set(m1)] for m2 in b.terms if s1.isdisjoint(m2))
+    return out
 
 
 def _generator_pairs(i: int, k: int) -> list[tuple[int, int]]:
@@ -141,63 +150,48 @@ def _check_min_index(mono: Monomial, k: int) -> None:
         raise ValueError(f"index {mono[0]} below the minimal index {k}")
 
 
+def _derivation(c: Cochain, image: dict[int, Sequence[Monomial]]) -> Iterator[Monomial]:
+    """The terms of the derivation that sends e_i to the sum of the
+    monomials image[i] (zero for an index without an entry): each index of
+    each monomial is replaced by each image monomial that misses the rest
+    of its indices."""
+    for mono in c.terms:
+        for pos, i in enumerate(mono):
+            if i in image:
+                rest = mono[:pos] + mono[pos + 1 :]
+                for t in image[i]:
+                    if set(rest).isdisjoint(t):
+                        yield rest + t
+
+
 def coboundary(c: Cochain, k: int = 1) -> Cochain:
     """Raises length by one, preserves degree."""
     for mono in c.terms:
         _check_min_index(mono, k)
-    pairs = {i: _generator_pairs(i, k) for mono in c.terms for i in mono}
-    acc: set[Monomial] = set()
-    for mono in c.terms:
-        for pos, idx in enumerate(mono):
-            rest = mono[:pos] + mono[pos + 1 :]
-            for a, b in pairs[idx]:
-                if a not in rest and b not in rest:
-                    t = tuple(sorted(rest + (a, b)))
-                    if t in acc:
-                        acc.discard(t)
-                    else:
-                        acc.add(t)
-    return Cochain(frozenset(acc))
-
-
-def boundary(c: Cochain, k: int = 1) -> Cochain:
-    """Lowers length by one, preserves degree (the dual contraction)."""
-    acc: set[Monomial] = set()
-    for mono in c.terms:
-        _check_min_index(mono, k)
-        for i in range(len(mono)):
-            for j in range(i + 1, len(mono)):
-                s = mono[i] + mono[j]
-                if s % 2 == 0:
-                    continue
-                rest = mono[:i] + mono[i + 1 : j] + mono[j + 1 :]
-                if s not in rest:
-                    t = tuple(sorted(rest + (s,)))
-                    if t in acc:
-                        acc.discard(t)
-                    else:
-                        acc.add(t)
-    return Cochain(frozenset(acc))
+    return _sum(_derivation(c, {i: _generator_pairs(i, k) for mono in c.terms for i in mono}))
 
 
 def generator_action(r: int, c: Cochain) -> Cochain:
     """Action of e_r on cochains: index i_a shifts to i_a - r, coefficient i_a."""
-    acc: set[Monomial] = set()
+    image = {i: ((i - r,),) for mono in c.terms for i in mono if i % 2}  # an even coefficient i_a vanishes
+    if image and min(image) - r < 1:
+        raise ValueError(f"shifted index {min(image) - r} below the minimal index 1")
+    return _sum(_derivation(c, image))
+
+
+def boundary(c: Cochain, k: int = 1) -> Cochain:
+    """Lowers length by one, preserves degree (the dual contraction)."""
     for mono in c.terms:
-        for pos, idx in enumerate(mono):
-            if idx % 2 == 0:
-                continue
-            shifted = idx - r
-            if shifted < 1:
-                raise ValueError(f"shifted index {shifted} below the minimal index 1")
-            rest = mono[:pos] + mono[pos + 1 :]
-            if shifted not in rest:
-                t = tuple(sorted(rest + (shifted,)))
-                if t in acc:
-                    acc.discard(t)
-                else:
-                    acc.add(t)
-    return Cochain(frozenset(acc))
+        _check_min_index(mono, k)
+    return _sum(
+        rest + (s,)
+        for mono in c.terms
+        for i, j in combinations(range(len(mono)), 2)
+        for s in [mono[i] + mono[j]]
+        if s % 2  # the coefficient i_a + i_b
+        for rest in [mono[:i] + mono[i + 1 : j] + mono[j + 1 :]]
+        if s not in rest
+    )
 
 
 def _index_mask(mono: Monomial, k: int) -> int:

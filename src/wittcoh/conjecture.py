@@ -120,10 +120,8 @@ def image(terms: tuple[BigradedMonomial, ...]) -> Cochain:
     """The cocycle of a sum of words under E -> e, X_i -> x_i, Y_i -> y_i."""
     out = Cochain.zero()
     for w in terms:
-        prod = e_cocycle() if w.has_e else Cochain.unit()
-        for factor in [x_cocycle(i) for i in w.xs] + [y_cocycle(i) for i in w.ys]:
-            prod = wedge(prod, factor)
-        out = out + prod
+        es = [e_cocycle()] if w.has_e else []
+        out = out + wedge(*es, *map(x_cocycle, w.xs), *map(y_cocycle, w.ys))
     return out
 
 

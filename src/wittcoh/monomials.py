@@ -18,19 +18,22 @@ over simple components of:
 In this basis the coboundary acts by marking one unmarked odd non-special
 component of odd length — nothing else survives.
 
-Both wedges exist twice: as tuple cochains (``marked_wedge``,
-``corrected_wedge``) and as vectors of their block's slice (``marked_vec``,
-``corrected_vec``), built as one product over the index masks of the
-factors' monomials, memoized per factor (a marked part's are its
-``cochains._pair_masks``).  The bases and the verify suites read the
-vectors; the cochains are the library's readable form and the tests'
-reference.  Both bases of a block are a ``cochains.SliceBasis`` labelled by
-the regular marked partitions, with no image.
+Both wedges read one factor rule, ``simple_corrected``: a marked wedge is
+the product over its parts, each the one-part component (i,), whose factor
+is e_i or, marked, its coboundary d e_i (zero for an even i and for 1).
+Both exist twice: as tuple cochains (``marked_wedge``, ``corrected_wedge``),
+the n-ary ``cochains.wedge`` of the factors, and as vectors of their
+block's slice (``marked_vec``, ``corrected_vec``), one product over the
+index masks of the factors' monomials, memoized per component
+(``_component_masks``).  The bases and the verify suites read the vectors;
+the cochains are the library's readable form and the tests' reference.
+Both bases of a block are a ``cochains.SliceBasis`` labelled by the
+regular marked partitions, with no image.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 from .caching import cached, kept
 from .cochains import (
@@ -38,7 +41,6 @@ from .cochains import (
     SliceBasis,
     _index_mask,
     _monomials,
-    _pair_masks,
     coboundary,
     generator,
     graded_slice,
@@ -56,39 +58,37 @@ from .partitions import (
 )
 
 
-@kept
-def _factor(i: int, marked: bool) -> Cochain:
-    """The factor of part i in a marked wedge: e_i, or its coboundary when
-    marked (zero for an even i and for i = 1)."""
-    return coboundary(generator(i), 1) if marked else generator(i)
-
-
 def markable_parts(base: Partition) -> tuple[int, ...]:
     """The parts of base whose marked factor is nonzero; a mark on any other
     part makes the marked wedge zero."""
-    return tuple(i for i in base.parts if _pair_masks(1, i))
+    return tuple(i for i in base.parts if _component_masks((i,), True))
 
 
-def _require_wedge_base(base: Partition) -> None:
-    if base.length == 0:
+def _singles(mp: MarkedPartition) -> list[tuple[int, ...]]:
+    """The parts of a marked partition's base as one-part components, the
+    factors of its marked wedge."""
+    if mp.base.length == 0:
         raise ValueError("empty partition has no wedge monomial")
+    return [(i,) for i in mp.base.parts]
+
+
+def _wedge_of(mp: MarkedPartition, comps: Sequence[tuple[int, ...]]) -> Cochain:
+    """The product of the ``simple_corrected`` factors of the components
+    comps of mp's base, each marked when its first part is; zero if a
+    factor is."""
+    factors = [simple_corrected(Partition(comp), comp[0] in mp.marks) for comp in comps]
+    return Cochain.zero() if None in factors else wedge(*factors)
+
+
+def _vec_of(mp: MarkedPartition, comps: Sequence[tuple[int, ...]]) -> int:
+    """``_wedge_of(mp, comps)`` as a vector of mp's (degree, length) block."""
+    return _product([_component_masks(comp, comp[0] in mp.marks) for comp in comps], mp.degree, mp.length)
 
 
 def marked_wedge(mp: MarkedPartition) -> Cochain | None:
-    """The wedge cochain of a marked partition; None when it collapses to zero.
-
-    A zero factor (a mark on an even part or on 1) gives None before any
-    wedge is built."""
-    _require_wedge_base(mp.base)
-    factors = [_factor(i, i in mp.marks) for i in mp.base.parts]
-    if not all(factors):
-        return None
-    out = factors[0]
-    for factor in factors[1:]:
-        out = wedge(out, factor)
-        if not out:
-            return None
-    return out
+    """The wedge cochain of a marked partition; None when it collapses to
+    zero, as it does for a mark on an even part or on 1."""
+    return _wedge_of(mp, _singles(mp)) or None
 
 
 def _product(factors: list[tuple[int, ...]], n: int, q: int) -> int:
@@ -118,9 +118,7 @@ def _product(factors: list[tuple[int, ...]], n: int, q: int) -> int:
 def marked_vec(mp: MarkedPartition) -> int:
     """``marked_wedge(mp)`` as a vector of its (degree, length) block, or 0
     when it collapses."""
-    _require_wedge_base(mp.base)
-    factors = [_pair_masks(1, i) if i in mp.marks else (1 << (i - 1),) for i in mp.base.parts]
-    return _product(factors, mp.degree, mp.length)
+    return _vec_of(mp, _singles(mp))
 
 
 def _wedge_basis(n: int, q: int, vec_of: Callable[[MarkedPartition], int]) -> SliceBasis:
@@ -157,7 +155,8 @@ def pair_cocycle(a: int, marked: bool = False) -> Cochain:
         raise ValueError("needs odd a >= 1")
     out = Cochain.zero()
     for r in range((a - 1) // 2 + 1):
-        out = out + wedge(_factor(a - 2 * r, marked), generator(a + 2 * r + 2))
+        left = generator(a - 2 * r)
+        out = out + wedge(coboundary(left, 1) if marked else left, generator(a + 2 * r + 2))
     return out
 
 
@@ -172,10 +171,7 @@ def simple_corrected(p: Partition, marked: bool = False) -> Cochain | None:
     if p.length % 2 == 1:
         return coboundary(plain, 1) if marked else plain
     a = p.parts[0]
-    out = Cochain.unit()
-    for t in range(p.length // 2):
-        out = wedge(out, pair_cocycle(a + 4 * t, marked=(marked and t == 0)))
-    return out
+    return wedge(*(pair_cocycle(a + 4 * t, marked=(marked and t == 0)) for t in range(p.length // 2)))
 
 
 def _marked_split(mp: MarkedPartition) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
@@ -189,11 +185,7 @@ def _marked_split(mp: MarkedPartition) -> tuple[tuple[tuple[int, ...], ...], tup
 
 def corrected_wedge(mp: MarkedPartition) -> Cochain:
     """Corrected wedge of a regular marked partition (product over components)."""
-    out = Cochain.unit()
-    for comp in _marked_split(mp)[0]:
-        factor = simple_corrected(Partition(comp), comp[0] in mp.marks)
-        assert factor is not None  # marks sit on odd non-special components only
-        out = wedge(out, factor)
+    out = _wedge_of(mp, _marked_split(mp)[0])
     assert out, f"corrected wedge of {mp} collapsed"
     return out
 
@@ -201,18 +193,17 @@ def corrected_wedge(mp: MarkedPartition) -> Cochain:
 @kept
 def _component_masks(comp: tuple[int, ...], marked: bool) -> tuple[int, ...]:
     """The index masks of the monomials of ``simple_corrected`` of the
-    component with parts comp; memoized per part tuple."""
+    component with parts comp, none for a disallowed mark (a zero factor);
+    memoized per part tuple."""
     factor = simple_corrected(Partition(comp), marked)
-    assert factor is not None  # marks sit on odd non-special components only
-    return tuple(_index_mask(mono, 1) for mono in factor.terms)
+    return tuple(_index_mask(mono, 1) for mono in factor.terms) if factor else ()
 
 
 @cached
 def corrected_vec(mp: MarkedPartition) -> int:
     """``corrected_wedge(mp)`` as a vector of its (degree, length) block;
     memoized per marked partition."""
-    factors = [_component_masks(comp, comp[0] in mp.marks) for comp in _marked_split(mp)[0]]
-    vec = _product(factors, mp.degree, mp.length)
+    vec = _vec_of(mp, _marked_split(mp)[0])
     assert vec, f"corrected wedge of {mp} collapsed"
     return vec
 

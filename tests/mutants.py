@@ -53,6 +53,8 @@ WALKER = "tests/test_partitions.py::test_ascending_tuples_match_brute_force"
 MONOMIALS = "tests/test_cochains.py::test_monomials_match_index_combinations"
 FAMILY_SPAN = "tests/test_cohomology.py::test_family_basis_check_works_modulo_coboundaries"
 FRONTIER = "tests/test_cohomology.py::test_prediction_matches_the_recorded_frontier_rows"
+WEDGE_LAWS = "tests/test_cochains.py::test_wedge_associative_commutative"
+DERIVATION = "tests/test_cochains.py::test_coboundary_is_derivation"
 
 MUTANTS = (
     Mutant(
@@ -341,16 +343,37 @@ MUTANTS = (
     Mutant(
         "the tuple wedge keeps a repeated index",
         "src/wittcoh/cochains.py",
-        "if s1.isdisjoint(m2):",
-        "if True:",
+        "if s1.isdisjoint(m2))",
+        "if True)",
         ("tests/test_cochains.py::test_wedge_repeated_index_vanishes",),
     ),
     Mutant(
-        "the tuple wedge never cancels",
+        "the GF(2) sum never cancels",
         "src/wittcoh/cochains.py",
-        "if t in acc:  # a GF(2) sum: a second copy cancels the first",
-        "if False:",
+        "acc ^= {tuple(sorted(mono))}",
+        "acc |= {tuple(sorted(mono))}",
         ("tests/test_cochains.py::test_char2_square_of_one_cochain",),
+    ),
+    Mutant(
+        "the n-ary wedge skips its first factor",
+        "src/wittcoh/cochains.py",
+        "    out = factors[0]\n",
+        "    out = Cochain.unit()\n",
+        (WEDGE_LAWS,),
+    ),
+    Mutant(
+        "the derivation walk drops its clash test",
+        "src/wittcoh/cochains.py",
+        "if set(rest).isdisjoint(t)",
+        "if True",
+        (DERIVATION,),
+    ),
+    Mutant(
+        "the action keeps even indices",
+        "src/wittcoh/cochains.py",
+        "for i in mono if i % 2}",
+        "for i in mono}",
+        ("tests/test_cochains.py::test_action_examples",),
     ),
     Mutant(
         "irregular tuples split into the memo",
@@ -396,11 +419,19 @@ MUTANTS = (
          "tests/test_acceptance.py::test_criterion_06_corrected_coboundary_to_24"),
     ),
     Mutant(
-        "corrected vectors ignore the marks",
+        "wedge vectors ignore the marks",
         "src/wittcoh/monomials.py",
         "_component_masks(comp, comp[0] in mp.marks)",
         "_component_masks(comp, False)",
-        ("tests/test_monomials.py::test_corrected_vec_and_variants_match_the_tuple_wedges",),
+        ("tests/test_monomials.py::test_marked_vec_matches_marked_wedge",
+         "tests/test_monomials.py::test_corrected_vec_and_variants_match_the_tuple_wedges"),
+    ),
+    Mutant(
+        "a disallowed mark gets the plain masks",
+        "src/wittcoh/monomials.py",
+        "if factor else ()",
+        "if factor else _component_masks(comp, False)",
+        ("tests/test_monomials.py::test_single_part_factors_are_the_generator_coboundary_table",),
     ),
     Mutant(
         "the X sum bound tightened",

@@ -65,6 +65,9 @@ def test_wedge_associative_commutative():
         d = random_homogeneous(rng, rng.randint(2, 9), 1)
         assert wedge(a, b) == wedge(b, a)
         assert wedge(wedge(a, b), d) == wedge(a, wedge(b, d))
+        assert wedge(a, b, d) == wedge(wedge(a, b), d)
+        assert wedge(a) == a
+    assert wedge() == Cochain.unit()
 
 
 # --- coboundary ----------------------------------------------------------------
@@ -101,6 +104,10 @@ def test_coboundary_is_derivation():
         b = random_homogeneous(rng, rng.randint(2, 10), rng.randint(1, 2))
         lhs = coboundary(wedge(a, b), 1)
         rhs = wedge(coboundary(a, 1), b) + wedge(a, coboundary(b, 1))
+        assert lhs == rhs
+        # e_{-1} acts by a derivation of the same walk
+        lhs = generator_action(-1, wedge(a, b))
+        rhs = wedge(generator_action(-1, a), b) + wedge(a, generator_action(-1, b))
         assert lhs == rhs
 
 

@@ -25,6 +25,7 @@ from wittcoh.monomials import (
     decompose,
     decompose_corrected,
     e_cocycle,
+    markable_parts,
     marked_variants,
     marked_vec,
     marked_wedge,
@@ -108,7 +109,6 @@ def test_clear_caches_empties_the_wedge_and_tuple_memos():
     memos = (
         cochains._monomials,
         cochains._pair_masks,
-        monomials._factor,
         monomials._component_masks,
         monomials.corrected_vec,
         partitions._partitions,
@@ -171,6 +171,15 @@ def test_marked_vec_matches_marked_wedge():
                         assert marked_vec(mp) == want, mp
                         collapsed += not want
     assert collapsed > 0
+
+
+def test_single_part_factors_are_the_generator_coboundary_table():
+    # a marked part is the one-part component (i,): its corrected factor is
+    # d e_i (none for an even i and for 1), its unmarked factor e_i
+    for i in range(1, 61):
+        assert set(monomials._component_masks((i,), True)) == set(cochains._pair_masks(1, i)), i
+        assert monomials._component_masks((i,), False) == (1 << (i - 1),), i
+        assert markable_parts(P(i)) == ((i,) if cochains._pair_masks(1, i) else ()), i
 
 
 def test_marked_vec_cancels_a_union_reached_twice():
