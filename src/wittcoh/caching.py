@@ -1,10 +1,11 @@
 """Registry for the library's memoized constructions.
 
 Graded slices, monomial lists, each generator's coboundary on index masks,
-each degree's largest nonempty length, dimensions, cohomology bases, the
-partition lists (strict, regular, all and regular marked partitions per
-key, and each regular base with its leading parts) and each regular
-shape's split into simple components are deterministic functions of small
+each degree's largest nonempty length, dimensions, cohomology bases, each
+class's representative and its index masks, the partition lists (strict,
+regular, all and regular marked partitions per key, and each regular base
+with its leading parts) and each regular shape's split into simple
+components are deterministic functions of small
 keys, re-read constantly by the verifiers and the conjecture scan, so they
 are cached without bound.  Every memo of the package goes through
 ``cached``, so ``clear_all`` and ``corrupted_generator`` reach all of them.
@@ -46,8 +47,8 @@ def clear_all() -> None:
 
 def clear_degree() -> None:
     """Drop every memo but the kept ones: one degree's slices, monomial
-    lists, bases, corrected wedge vectors, regular and marked partition
-    lists and splits."""
+    lists, bases, class records, corrected wedge vectors, regular and marked
+    partition lists and splits."""
     for fn in _CACHED:
         if fn not in _KEPT:
             fn.cache_clear()

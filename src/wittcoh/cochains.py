@@ -20,7 +20,8 @@ of times; integer coefficients are reduced mod 2 before a term is listed:
 The complex splits into finite blocks by degree n (index sum) and length q;
 ``graded_slice`` materializes one block's monomial basis together with the
 matrix of the coboundary into the next block, and ``wedge_coords``, the
-product behind ``cup``, wedges two blocks' vectors in those coordinates.
+product behind ``cup``, wedges two cochains given by their monomials' index
+masks into a vector of the product block.
 ``SliceBasis`` is a labelled basis of a block modulo an image.  The
 monomials with their index masks (``_monomials``), the generator pairs and
 ``max_length`` come from ``partitions``, which owns every tuple walk and
@@ -377,17 +378,15 @@ def graded_slice(k: int, n: int, q: int) -> GradedSlice:
     return GradedSlice(k, n, q, basis, BitMatrix.from_columns(cols, len(target)))
 
 
-def wedge_coords(a: GradedSlice, va: int, b: GradedSlice, vb: int) -> int:
-    """``wedge`` in slice coordinates: the product of vector va of slice a
-    and vector vb of slice b (both of minimal index a.k), as a vector of the
-    (a.n + b.n, a.q + b.q) block.
+def wedge_coords(xs: Sequence[int], ys: Sequence[int], k: int, n: int, q: int) -> int:
+    """``wedge`` in slice coordinates: the product of two cochains given by
+    the index masks of their monomials (xs and ys, of minimal index k), as a
+    vector of the (n, q) block their degrees and lengths add up to.
 
     Over GF(2) the wedge of two monomials with disjoint index sets is their
     union, so each disjoint pair of index masks flips one bit, with no sign
     and no sort."""
-    xs = _at_bits(a.masks, va)
-    ys = _at_bits(b.masks, vb)
-    tpos = _monomials(a.k, a.n + b.n, a.q + b.q)[2]
+    tpos = _monomials(k, n, q)[2]
     vec = 0
     for x in xs:
         for y in ys:

@@ -6,10 +6,12 @@ coboundaries at the block.  A cohomology basis is a ``cochains.SliceBasis``
 labelled 0..dim-1 modulo the image of the incoming coboundary.  Its vectors,
 the representatives, are the kernel vectors of the slice's cleared
 elimination, in the fixed monomial order — deterministic by construction.
-``cup`` wedges two representatives as vectors of index masks
+``cup`` wedges the index masks of two representatives
 (``cochains.wedge_coords``) and reads the class of the product vector the
 way ``class_of`` reads a cochain's, so the tuple path ``class_of(wedge(...))``
-is an independent check of it.
+is an independent check of it.  Both read a class through one memoized
+record (``_class_record``): the representative cochain and its monomials'
+index masks, built once per class and dropped with the bases.
 
 The module also computes the predictions that the CLI and the ``verify``
 suites compare against:
@@ -28,7 +30,7 @@ from collections import defaultdict
 from typing import NamedTuple
 
 from .caching import cached, kept
-from .cochains import Cochain, SliceBasis, graded_slice, max_length, wedge_coords
+from .cochains import Cochain, SliceBasis, _at_bits, graded_slice, max_length, wedge_coords
 from .partitions import cohomology_partitions, leading_parts
 
 
@@ -109,6 +111,8 @@ def class_of(c: Cochain, k: int = 1, n: int | None = None, q: int | None = None)
     if not c.terms:
         if n is None or q is None:
             raise ValueError("zero cochain: pass n and q explicitly")
+        if q < 1:
+            raise ValueError("cohomology lives in lengths >= 1")
         return CohomologyClass(k, n, q, (0,) * cohomology_dim(k, n, q))
     degree, length = c.grading
     if n not in (None, degree) or q not in (None, length):
@@ -136,8 +140,12 @@ def _class(basis: SliceBasis, cocycle: int) -> CohomologyClass:
     return CohomologyClass(sl.k, sl.n, sl.q, tuple(digits.encode().translate(_DIGITS)))
 
 
-def _rep_vec(cls: CohomologyClass) -> tuple[SliceBasis, int]:
-    """The block's basis and the slice vector of the class's representative."""
+@cached
+def _class_record(cls: CohomologyClass) -> tuple[tuple[int, ...], Cochain]:
+    """What ``cup`` and ``representative`` read from a class, built once per
+    class: the index masks of its representative's monomials, a tuple as
+    the record is shared, and the representative itself (a ``Cochain`` is
+    immutable)."""
     k, n, q, coords = cls  # one unpacking, not four field reads
     basis = cohomology_basis(k, n, q)
     if len(coords) != basis.dim:
@@ -147,29 +155,31 @@ def _rep_vec(cls: CohomologyClass) -> tuple[SliceBasis, int]:
     for j, bit in enumerate(coords):
         if bit:
             vec ^= vecs[j]
-    return basis, vec
+    sl = basis.slice
+    return tuple(_at_bits(sl.masks, vec)), sl.cochain(vec)
 
 
 def representative(cls: CohomologyClass) -> Cochain:
-    basis, vec = _rep_vec(cls)
-    return basis.slice.cochain(vec)
+    return _class_record(cls)[1]
 
 
 def cup(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
     """Product of classes: the class of the wedge of their representatives.
 
-    The wedge is taken in slice coordinates (``wedge_coords``), so no
-    ``Cochain`` is built; ``class_of(wedge(representative(a),
-    representative(b)))`` is the same product through index tuples.  A
-    product that vanishes as a cochain, or whose block is empty, reads its
-    zero class without building the product block's basis."""
+    The wedge is taken on the index masks of the two representatives, read
+    from each class's record (``wedge_coords``), so no vector bit is walked
+    and no product ``Cochain`` is built per call;
+    ``class_of(wedge(representative(a), representative(b)))`` is the same
+    product through index tuples.  A product that vanishes as a cochain, or
+    whose block is empty, reads its zero class without building the product
+    block's basis."""
     if a.k != b.k:
         raise ValueError("classes live over different minimal indices")
-    (basis_a, va), (basis_b, vb) = _rep_vec(a), _rep_vec(b)
+    xs, ys = _class_record(a)[0], _class_record(b)[0]
     k, n, q = a.k, a.n + b.n, a.q + b.q
     if q > max_length(k, n):
         return CohomologyClass(k, n, q, ())
-    vec = wedge_coords(basis_a.slice, va, basis_b.slice, vb)
+    vec = wedge_coords(xs, ys, k, n, q)
     if not vec:
         return CohomologyClass(k, n, q, (0,) * cohomology_dim(k, n, q))
     basis = cohomology_basis(k, n, q)

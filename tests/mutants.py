@@ -55,6 +55,8 @@ FAMILY_SPAN = "tests/test_cohomology.py::test_family_basis_check_works_modulo_co
 FRONTIER = "tests/test_cohomology.py::test_prediction_matches_the_recorded_frontier_rows"
 WEDGE_LAWS = "tests/test_cochains.py::test_wedge_associative_commutative"
 DERIVATION = "tests/test_cochains.py::test_coboundary_is_derivation"
+TUPLE_PATH = "tests/test_cohomology.py::test_cup_agrees_with_the_tuple_path"
+TAGGED_SPAN = "tests/test_cohomology.py::test_class_of_reads_the_tagged_span"
 
 MUTANTS = (
     Mutant(
@@ -268,7 +270,28 @@ MUTANTS = (
         "src/wittcoh/cohomology.py",
         "bin(x | 1 << basis.dim)[:2:-1]",
         "bin(x)[:2:-1]",
-        ("tests/test_cohomology.py::test_class_of_reads_the_tagged_span",),
+        (TAGGED_SPAN,),
+    ),
+    Mutant(
+        "the class memo outlives each degree",
+        "src/wittcoh/cohomology.py",
+        "@cached\ndef _class_record",
+        "@kept\ndef _class_record",
+        (DEGREE_LOOP,),
+    ),
+    Mutant(
+        "the class record's masks drop one monomial",
+        "src/wittcoh/cohomology.py",
+        "tuple(_at_bits(sl.masks, vec))",
+        "tuple(_at_bits(sl.masks, vec))[1:]",
+        (TUPLE_PATH,),
+    ),
+    Mutant(
+        "the class record ignores the last coordinate",
+        "src/wittcoh/cohomology.py",
+        "for j, bit in enumerate(coords):",
+        "for j, bit in enumerate(coords[:-1]):",
+        (TAGGED_SPAN,),
     ),
     Mutant(
         "a vector outside the span gets coordinates",

@@ -6,7 +6,8 @@ import random
 import pytest
 
 from conftest import M, P
-from wittcoh import caching, conjecture, verify
+import wittcoh
+from wittcoh import caching, cohomology, conjecture, verify
 from wittcoh.caching import clear_all
 from wittcoh.cochains import (
     Cochain,
@@ -237,7 +238,8 @@ def test_pivot_masks_stay_exact_on_a_corrupted_complex():
 
 
 def test_class_of_reads_the_tagged_span():
-    # representative j plus any coboundary has class e_j, and classes add
+    # representative j plus any coboundary has class e_j, e_j's representative
+    # is representative j, and classes add
     rng = random.Random(5)
     for k in (-1, 0, 1, 2):
         for n in range(k, 23):
@@ -247,6 +249,7 @@ def test_class_of_reads_the_tagged_span():
                 for col in basis.image_vecs[:1]:  # a coboundary, in blocks of any dimension
                     assert class_of(basis.slice.cochain(col), k).coords == (0,) * basis.dim
                 for j, rep in enumerate(basis.vecs):
+                    assert representative(CohomologyClass(k, n, q, unit[j])) == basis.slice.cochain(rep)
                     vec = rep
                     for col in basis.image_vecs:
                         if rng.random() < 0.5:
@@ -294,6 +297,9 @@ def test_class_zero_cochain_needs_block():
     with pytest.raises(ValueError):
         class_of(Cochain.zero(), 1)
     assert class_of(Cochain.zero(), 1, n=12, q=2).is_zero
+    for q in (0, -1):
+        with pytest.raises(ValueError, match="lengths >= 1"):
+            class_of(Cochain.zero(), 1, n=5, q=q)
 
 
 def test_inconsistent_class_input_rejected():
@@ -422,7 +428,9 @@ def test_cup_agrees_with_the_tuple_path(k):
                     CohomologyClass(k, n2, q2, tuple((vb >> j) & 1 for j in range(d2))),
                 ))
             for a, b in pairs:
-                assert cup(a, b) == tuple_cup(a, b), (a, b)
+                want = cup(a, b)
+                assert want == tuple_cup(a, b), (a, b)
+                assert cup(a, b) == want, (a, b)  # from the warm class memo
     assert above > 0  # products in empty blocks are covered
 
 
@@ -438,6 +446,29 @@ def test_vanishing_cup_builds_no_product_basis():
     assert cohomology_basis.cache_info().currsize == built
     assert not wedge(representative(e1), representative(e1e6))
     assert max_length(1, 2) == 1 and cohomology_dim(1, 8, 3) == 1
+
+
+def test_the_class_memo_is_dropped_with_the_bases():
+    # cup and representative read each class's record from a memo, which
+    # clear_caches and corrupted_generator drop together with the bases
+    memo = cohomology._class_record
+    a, b = unit_class(1, 1, 1, 0), unit_class(1, 10, 2, 1)
+    clean = cup(a, b)
+    representative(b)
+    assert memo.cache_info().currsize
+    wittcoh.clear_caches()
+    assert memo.cache_info().currsize == 0
+    cup(a, b)
+    # (13, 3) has dimension 2, and dimension 1 while e9 is corrupted
+    short = CohomologyClass(1, 13, 3, (1,))
+    with corrupted_generator(9):
+        assert memo.cache_info().currsize == 0
+        assert cup(a, b) == CohomologyClass(1, 11, 3, ()) != clean
+        representative(short)
+    assert memo.cache_info().currsize == 0
+    assert cup(a, b) == clean and not clean.is_zero
+    with pytest.raises(ValueError, match="1 coordinates for a block of dimension 2"):
+        representative(short)
 
 
 def test_cup_rejects_what_the_tuple_path_rejects():
