@@ -20,8 +20,8 @@ of times; integer coefficients are reduced mod 2 before a term is listed:
 The complex splits into finite blocks by degree n (index sum) and length q;
 ``graded_slice`` materializes one block's monomial basis together with the
 matrix of the coboundary into the next block, and ``wedge_coords``, the
-product behind ``cup``, wedges two cochains given by their monomials' index
-masks into a vector of the product block.
+last step of every product on index masks, wedges two cochains given by
+their monomials' index masks into a vector of the product block.
 ``SliceBasis`` is a labelled basis of a block modulo an image.  The
 monomials with their index masks (``_monomials``), the generator pairs and
 ``max_length`` come from ``partitions``, which owns every tuple walk and
@@ -378,10 +378,12 @@ def graded_slice(k: int, n: int, q: int) -> GradedSlice:
     return GradedSlice(k, n, q, basis, BitMatrix.from_columns(cols, len(target)))
 
 
-def wedge_coords(xs: Sequence[int], ys: Sequence[int], k: int, n: int, q: int) -> int:
+def wedge_coords(xs: Iterable[int], ys: Sequence[int], k: int, n: int, q: int) -> int:
     """``wedge`` in slice coordinates: the product of two cochains given by
     the index masks of their monomials (xs and ys, of minimal index k), as a
-    vector of the (n, q) block their degrees and lengths add up to.
+    vector of the (n, q) block their degrees and lengths add up to.  It is
+    the last step of ``cup`` and of the wedge vectors of ``monomials``,
+    whose xs is the product of every factor but the last.
 
     Over GF(2) the wedge of two monomials with disjoint index sets is their
     union, so each disjoint pair of index masks flips one bit, with no sign

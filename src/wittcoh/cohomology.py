@@ -7,11 +7,12 @@ labelled 0..dim-1 modulo the image of the incoming coboundary.  Its vectors,
 the representatives, are the kernel vectors of the slice's cleared
 elimination, in the fixed monomial order — deterministic by construction.
 ``cup`` wedges the index masks of two representatives
-(``cochains.wedge_coords``) and reads the class of the product vector the
-way ``class_of`` reads a cochain's, so the tuple path ``class_of(wedge(...))``
-is an independent check of it.  Both read a class through one memoized
-record (``_class_record``): the representative cochain and its monomials'
-index masks, built once per class and dropped with the bases.
+(``cochains.wedge_coords``) and reads the product vector's class with the
+one class reader (``_class``) that ``class_of`` uses for a cochain's, so
+the tuple path ``class_of(wedge(...))`` is an independent check of it.
+``cup`` and ``representative`` read a class through one memoized record
+(``_class_record``): the representative cochain and its monomials' index
+masks, built once per class and dropped with the bases.
 
 The module also computes the predictions that the CLI and the ``verify``
 suites compare against:
@@ -108,36 +109,40 @@ def class_of(c: Cochain, k: int = 1, n: int | None = None, q: int | None = None)
     """The class of a closed cochain; zero cochains need explicit (n, q).
 
     An explicit n or q must agree with a nonzero cochain's grading."""
-    if not c.terms:
-        if n is None or q is None:
-            raise ValueError("zero cochain: pass n and q explicitly")
-        if q < 1:
-            raise ValueError("cohomology lives in lengths >= 1")
-        return CohomologyClass(k, n, q, (0,) * cohomology_dim(k, n, q))
-    degree, length = c.grading
-    if n not in (None, degree) or q not in (None, length):
-        raise ValueError(f"cochain of (n={degree}, q={length}) passed with n={n}, q={q}")
-    basis = cohomology_basis(k, degree, length)
-    sl = basis.slice
-    vec = sl.coords(c)
-    if sl.delta.mul_vec(vec):
+    if c.terms:
+        degree, length = c.grading
+        if n not in (None, degree) or q not in (None, length):
+            raise ValueError(f"cochain of (n={degree}, q={length}) passed with n={n}, q={q}")
+        n, q = degree, length
+    elif n is None or q is None:
+        raise ValueError("zero cochain: pass n and q explicitly")
+    # ``cohomology_basis`` checks the length before it reads a slice
+    cls = _class(k, n, q, cohomology_basis(k, n, q).slice.coords(c) if c.terms else 0)
+    if cls is None:
         raise NotACocycleError(f"cochain {c} is not closed at minimal index {k}")
-    return _class(basis, vec)
+    return cls
 
 
 # byte b"0" or b"1" to the coordinate 0 or 1
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _class(basis: SliceBasis, cocycle: int) -> CohomologyClass:
-    """The class of a cocycle, a vector of the basis's block.
+def _class(k: int, n: int, q: int, vec: int) -> CohomologyClass | None:
+    """The class of vec, a vector of the (k, n, q) block; None unless it is
+    closed.  The zero vector's class is read without building the basis.
 
-    Coordinate j is bit j of the tag bits: the binary digits of
+    Coordinate j is bit j of vec's tag bits x: the binary digits of
     ``x | 1 << dim`` read backwards, stopping before that top marker bit
     (so a block of dimension 0 gives no digits)."""
-    x, sl = basis.coords(cocycle), basis.slice
-    digits = bin(x | 1 << basis.dim)[:2:-1]
-    return CohomologyClass(sl.k, sl.n, sl.q, tuple(digits.encode().translate(_DIGITS)))
+    if q < 1:
+        raise ValueError("cohomology lives in lengths >= 1")
+    if not vec:
+        return CohomologyClass(k, n, q, (0,) * cohomology_dim(k, n, q))
+    basis = cohomology_basis(k, n, q)
+    if basis.slice.delta.mul_vec(vec):
+        return None
+    digits = bin(basis.coords(vec) | 1 << basis.dim)[:2:-1]
+    return CohomologyClass(k, n, q, tuple(digits.encode().translate(_DIGITS)))
 
 
 @cached
@@ -170,22 +175,16 @@ def cup(a: CohomologyClass, b: CohomologyClass) -> CohomologyClass:
     from each class's record (``wedge_coords``), so no vector bit is walked
     and no product ``Cochain`` is built per call;
     ``class_of(wedge(representative(a), representative(b)))`` is the same
-    product through index tuples.  A product that vanishes as a cochain, or
-    whose block is empty, reads its zero class without building the product
+    product through index tuples.  A product that vanishes, as it does in
+    an empty block, reads its zero class without building the product
     block's basis."""
     if a.k != b.k:
         raise ValueError("classes live over different minimal indices")
-    xs, ys = _class_record(a)[0], _class_record(b)[0]
     k, n, q = a.k, a.n + b.n, a.q + b.q
-    if q > max_length(k, n):
-        return CohomologyClass(k, n, q, ())
-    vec = wedge_coords(xs, ys, k, n, q)
-    if not vec:
-        return CohomologyClass(k, n, q, (0,) * cohomology_dim(k, n, q))
-    basis = cohomology_basis(k, n, q)
-    if basis.slice.delta.mul_vec(vec):
+    cls = _class(k, n, q, wedge_coords(_class_record(a)[0], _class_record(b)[0], k, n, q))
+    if cls is None:
         raise NotACocycleError(f"the product of {a} and {b} is not closed at minimal index {k}")
-    return _class(basis, vec)
+    return cls
 
 
 # ---------------------------------------------------------------------------

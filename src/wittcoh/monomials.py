@@ -23,10 +23,11 @@ the product over its parts, each the one-part component (i,), whose factor
 is e_i or, marked, its coboundary d e_i (zero for an even i and for 1).
 Both exist twice: as tuple cochains (``marked_wedge``, ``corrected_wedge``),
 the n-ary ``cochains.wedge`` of the factors, and as vectors of their
-block's slice (``marked_vec``, ``corrected_vec``), one product over the
+block's slice (``marked_vec``, ``corrected_vec``), one fold over the
 index masks of the factors' monomials, memoized per component
-(``_component_masks``).  The bases and the verify suites read the vectors;
-the cochains are the library's readable form and the tests' reference.
+(``_component_masks``), that ends in ``cochains.wedge_coords``.  The bases
+and the verify suites read the vectors; the cochains are the library's
+readable form and the tests' reference.
 Both bases of a block are a ``cochains.SliceBasis`` labelled by the
 regular marked partitions, with no image.
 """
@@ -40,11 +41,11 @@ from .cochains import (
     Cochain,
     SliceBasis,
     _index_mask,
-    _monomials,
     coboundary,
     generator,
     graded_slice,
     wedge,
+    wedge_coords,
 )
 from .partitions import (
     MarkedPartition,
@@ -81,25 +82,16 @@ def _wedge_of(mp: MarkedPartition, comps: Sequence[tuple[int, ...]]) -> Cochain:
 
 
 def _vec_of(mp: MarkedPartition, comps: Sequence[tuple[int, ...]]) -> int:
-    """``_wedge_of(mp, comps)`` as a vector of mp's (degree, length) block."""
-    return _product([_component_masks(comp, comp[0] in mp.marks) for comp in comps], mp.degree, mp.length)
-
-
-def marked_wedge(mp: MarkedPartition) -> Cochain | None:
-    """The wedge cochain of a marked partition; None when it collapses to
-    zero, as it does for a mark on an even part or on 1."""
-    return _wedge_of(mp, _singles(mp)) or None
-
-
-def _product(factors: list[tuple[int, ...]], n: int, q: int) -> int:
-    """The wedge of the factors, each given by the index masks of its
-    monomials, as a vector of the (n, q) block; 0 once it vanishes.
+    """``_wedge_of(mp, comps)`` as a vector of mp's (degree, length) block;
+    0 once it vanishes.
 
     Over GF(2) the wedge of two monomials with disjoint index sets is their
-    union, so the running product is the set of masks that occur an odd
-    number of times, and each disjoint pair x, y toggles x | y."""
+    union, so the product of the factors but the last is the set of masks
+    that occur an odd number of times, each disjoint pair x, y toggling
+    x | y; ``wedge_coords`` wedges it with the last factor."""
+    factors = [_component_masks(comp, comp[0] in mp.marks) for comp in comps]
     acc = {0}
-    for masks in factors:
+    for masks in factors[:-1]:
         nxt: set[int] = set()
         for x in acc:
             for y in masks:
@@ -108,11 +100,13 @@ def _product(factors: list[tuple[int, ...]], n: int, q: int) -> int:
         if not nxt:
             return 0
         acc = nxt
-    pos = _monomials(1, n, q)[2]
-    vec = 0
-    for m in acc:
-        vec |= 1 << pos[m]
-    return vec
+    return wedge_coords(acc, factors[-1], 1, mp.degree, mp.length)
+
+
+def marked_wedge(mp: MarkedPartition) -> Cochain | None:
+    """The wedge cochain of a marked partition; None when it collapses to
+    zero, as it does for a mark on an even part or on 1."""
+    return _wedge_of(mp, _singles(mp)) or None
 
 
 def marked_vec(mp: MarkedPartition) -> int:
@@ -186,7 +180,8 @@ def _marked_split(mp: MarkedPartition) -> tuple[tuple[tuple[int, ...], ...], tup
 def corrected_wedge(mp: MarkedPartition) -> Cochain:
     """Corrected wedge of a regular marked partition (product over components)."""
     out = _wedge_of(mp, _marked_split(mp)[0])
-    assert out, f"corrected wedge of {mp} collapsed"
+    if not out:
+        raise ValueError(f"corrected wedge of {mp} collapsed")
     return out
 
 
@@ -204,7 +199,8 @@ def corrected_vec(mp: MarkedPartition) -> int:
     """``corrected_wedge(mp)`` as a vector of its (degree, length) block;
     memoized per marked partition."""
     vec = _vec_of(mp, _marked_split(mp)[0])
-    assert vec, f"corrected wedge of {mp} collapsed"
+    if not vec:
+        raise ValueError(f"corrected wedge of {mp} collapsed")
     return vec
 
 

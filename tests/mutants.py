@@ -268,9 +268,23 @@ MUTANTS = (
     Mutant(
         "class coordinates read without the marker bit",
         "src/wittcoh/cohomology.py",
-        "bin(x | 1 << basis.dim)[:2:-1]",
-        "bin(x)[:2:-1]",
+        "bin(basis.coords(vec) | 1 << basis.dim)[:2:-1]",
+        "bin(basis.coords(vec))[:2:-1]",
         (TAGGED_SPAN,),
+    ),
+    Mutant(
+        "the zero class has no coordinates",
+        "src/wittcoh/cohomology.py",
+        "(0,) * cohomology_dim(k, n, q)",
+        "()",
+        ("tests/test_cohomology.py::test_vanishing_cup_builds_no_product_basis",),
+    ),
+    Mutant(
+        "the class reader skips the closedness test",
+        "src/wittcoh/cohomology.py",
+        "if basis.slice.delta.mul_vec(vec):\n        return None",
+        "if False:\n        return None",
+        ("tests/test_cohomology.py::test_class_of_rejects_non_cocycle",),
     ),
     Mutant(
         "the class memo outlives each degree",
@@ -446,6 +460,21 @@ MUTANTS = (
         "src/wittcoh/monomials.py",
         "_component_masks(comp, comp[0] in mp.marks)",
         "_component_masks(comp, False)",
+        ("tests/test_monomials.py::test_marked_vec_matches_marked_wedge",
+         "tests/test_monomials.py::test_corrected_vec_and_variants_match_the_tuple_wedges"),
+    ),
+    Mutant(
+        "the fold never cancels",
+        "src/wittcoh/monomials.py",
+        "nxt ^= {x | y}",
+        "nxt |= {x | y}",
+        ("tests/test_monomials.py::test_marked_vec_cancels_a_union_reached_twice",),
+    ),
+    Mutant(
+        "the fold drops its last factor",
+        "src/wittcoh/monomials.py",
+        "for masks in factors[:-1]:",
+        "for masks in factors[:-2]:",
         ("tests/test_monomials.py::test_marked_vec_matches_marked_wedge",
          "tests/test_monomials.py::test_corrected_vec_and_variants_match_the_tuple_wedges"),
     ),

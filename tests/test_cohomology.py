@@ -302,6 +302,13 @@ def test_class_zero_cochain_needs_block():
             class_of(Cochain.zero(), 1, n=5, q=q)
 
 
+def test_class_of_the_unit_cochain_needs_length_one():
+    # the length check comes before any slice is read, so the empty wedge
+    # raises the cohomology message, not the slice's "length must be >= 1"
+    with pytest.raises(ValueError, match="lengths >= 1"):
+        class_of(Cochain.unit(), 1)
+
+
 def test_inconsistent_class_input_rejected():
     y2 = y_cocycle(2)  # lives at (n=8, q=2)
     assert class_of(y2, 1, n=8, q=2) == class_of(y2, 1)

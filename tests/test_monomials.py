@@ -189,6 +189,12 @@ def test_marked_vec_cancels_a_union_reached_twice():
     assert graded_slice(1, 21, 6).basis == ((1, 2, 3, 4, 5, 6),)
     assert marked_wedge(mp) is None
     assert marked_vec(mp) == 0
+    # with e10 as the last factor, the union {1..6} cancels inside the fold
+    # of the first three, before the last factor is read
+    mp = M((5, 7, 9, 10), (5, 7, 9))
+    assert (1, 2, 3, 4, 5, 6, 10) in graded_slice(1, 31, 7).basis
+    assert marked_wedge(mp) is None
+    assert marked_vec(mp) == 0
 
 
 def test_corrected_vec_and_variants_match_the_tuple_wedges():
@@ -340,6 +346,15 @@ def test_corrected_wedge_rejects_singular():
             build(M((2, 3)))
         with pytest.raises(ValueError):
             build(M((5, 7), (7,)))
+
+
+def test_a_collapsed_corrected_wedge_raises_value_error():
+    # with d e3 corrupted to zero the marked component (3*) collapses; the
+    # check is a raise, not an assert, so it also holds under ``python -O``
+    with corrupted_generator(3):
+        for build in (corrected_wedge, corrected_vec):
+            with pytest.raises(ValueError, match=re.escape("corrected wedge of <3*> collapsed")):
+                build(M((3,), (3,)))
 
 
 def test_predicted_coboundary_simple():
