@@ -13,7 +13,7 @@ import csv
 import json
 import sys
 
-from .caching import clear_all
+from .caching import clear_all, clear_degree
 from .cochains import max_length
 from .cohomology import (
     central_extension_basis,
@@ -111,7 +111,8 @@ def cmd_dims(args: argparse.Namespace, stdout, stderr) -> int:
     rows = []
     for n in _degree_range(args):
         rows += [[n, q, cohomology_dim(args.k, n, q)] for q in _lengths(args, n)]
-        clear_all()  # no later degree reads this one's slices
+        clear_degree()  # no later degree reads this one's slices; it re-reads the kept pair masks
+    clear_all()
     payload = {"k": args.k, "cells": [{"n": n, "q": q, "dim": d} for n, q, d in rows]}
     _emit_rows(args, stdout, ["n", "q", "dim"], rows, payload)
     return 0

@@ -22,7 +22,9 @@ Each rule has one owner here.  ``_split`` alone cuts a regular shape into
 its components and picks its leading parts; everything that needs either
 reads it.  ``_special_top`` is the one spelling of the special bound.
 ``_factor_lists`` is the one walk over the feasible keys of a bidegree,
-shared by the conjecture's words and the strict/regular pairs.  Every tuple
+shared by the conjecture's words and the strict/regular pairs, and
+``_odd_parts_apart`` is the one rule of those pairs, which the conjecture's
+standard count reads too.  Every tuple
 walk and length bound of the package is here too: ``_ascending`` walks the
 ascending tuples of a sum (the cochain monomials with their index masks as
 well as the partitions), and ``_longest`` bounds their length.
@@ -33,6 +35,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from itertools import combinations
+from math import comb
 from typing import Iterator, Sequence
 
 from .caching import cached, kept
@@ -389,12 +392,18 @@ def _bases_and_leads(n: int, m: int, k: int) -> tuple[tuple[Partition, tuple[int
     return tuple(out)
 
 
+def _base_lengths(n: int, q: int, k: int) -> range:
+    """The part counts m of the regular bases that a marked partition of
+    degree n and length q can have: a base of m parts has at most m leading
+    parts, so it needs m >= q/2."""
+    return range((q + 1) // 2, min(q, max_regular_length(n, k)) + 1)
+
+
 def _marked(n: int, q: int, k: int, even_only: bool) -> list[MarkedPartition]:
     """Regular marked partitions of degree n and length q, optionally only
     those over a base whose simple components all have even degree."""
     out = []
-    # a base of m parts has at most m leading parts, so it needs m >= q/2
-    for m in range((q + 1) // 2, min(q, max_regular_length(n, k)) + 1):
+    for m in _base_lengths(n, q, k):
         for base, leads, even in _bases_and_leads(n, m, k):
             if even or not even_only:
                 out.extend(MarkedPartition._unchecked(base, marks) for marks in combinations(leads, q - m))
@@ -461,26 +470,37 @@ def _factor_lists(total: int, q: int, gap: int) -> Iterator[tuple[tuple[Partitio
 def strict_regular_pairs(n: int, q: int) -> list[tuple[Partition, Partition]]:
     """Pairs (K, L): K strict, L regular, |K| + 2|L| = q and
     2*deg(K) + 4*deg(L) = n, with every odd part of K at distance >= 2
-    from every part of L.  Either partition may be empty."""
-    out = []
-    for ks, ls in _factor_lists(n, q, 2):
-        for K in ks:
-            for L in ls:
-                if all(
-                    abs(ki - lj) >= 2
-                    for ki in K.parts
-                    if ki % 2 == 1
-                    for lj in L.parts
-                ):
-                    out.append((K, L))
+    from every part of L (``_odd_parts_apart``).  Either partition may be
+    empty.  Tests read it as the reference for ``conjecture.standard_count``."""
+    out = [
+        (K, L) for ks, ls in _factor_lists(n, q, 2) for K in ks for L in ls if _odd_parts_apart(K.parts, L.parts)
+    ]
     out.sort(key=lambda kl: (kl[0].parts, kl[1].parts))
     return out
 
 
+def _odd_parts_apart(k_parts: tuple[int, ...], l_parts: tuple[int, ...]) -> bool:
+    """The rule of ``strict_regular_pairs``: every odd part of K lies at
+    distance >= 2 from every part of L."""
+    return all(abs(ki - lj) >= 2 for ki in k_parts if ki % 2 == 1 for lj in l_parts)
+
+
 def even_component_marked(n: int, q: int) -> list[MarkedPartition]:
     """Regular marked partitions all of whose simple components have even
-    degree.  Not memoized: the conjecture scan reads each key once."""
+    degree.  Not memoized: tests read it as the reference for
+    ``count_even_component_marked``."""
     return _marked(n, q, 1, True)
+
+
+def count_even_component_marked(n: int, q: int) -> int:
+    """``len(even_component_marked(n, q))``, without a list: an even base
+    of m parts with l leading parts carries comb(l, q - m) markings."""
+    return sum(
+        comb(len(leads), q - m)
+        for m in _base_lengths(n, q, 1)
+        for _, leads, even in _bases_and_leads(n, m, 1)
+        if even
+    )
 
 
 def special_partitions(q: int, k: int) -> list[Partition]:

@@ -57,6 +57,9 @@ WEDGE_LAWS = "tests/test_cochains.py::test_wedge_associative_commutative"
 DERIVATION = "tests/test_cochains.py::test_coboundary_is_derivation"
 TUPLE_PATH = "tests/test_cohomology.py::test_cup_agrees_with_the_tuple_path"
 TAGGED_SPAN = "tests/test_cohomology.py::test_class_of_reads_the_tagged_span"
+COUNT_REFERENCES = "tests/test_conjecture.py::test_counts_match_their_references_on_every_bidegree_to_60"
+CERTIFIED = "tests/test_conjecture.py::test_every_degree_to_80_is_certified"
+STANDARD_WORDS = "tests/test_conjecture.py::test_standard_count_counts_the_words_no_leading_term_divides"
 
 MUTANTS = (
     Mutant(
@@ -597,6 +600,34 @@ MUTANTS = (
         "    if not pos:\n        return 0\n",
         "    if not pos:\n        return 1\n",
         ("tests/test_conjecture.py::test_ideal_rank_bounded_by_ambient",),
+    ),
+    Mutant(
+        "G_5 without its term X1^Y5, which is not its leading term",
+        "src/wittcoh/conjecture.py",
+        "(2 * a + 1,), (i - a,)) for a in range(i))",
+        "(2 * a + 1,), (i - a,)) for a in range(i) if (i, a) != (5, 0))",
+        (CERTIFIED,),
+    ),
+    Mutant(
+        "the Y indices weighed as the X indices",
+        "src/wittcoh/conjecture.py",
+        "+ 2 * sum(j * j for j in w.ys)",
+        "+ 1 * sum(j * j for j in w.ys)",
+        (STANDARD_WORDS,),
+    ),
+    Mutant(
+        "odd K parts allowed next to L parts",
+        "src/wittcoh/partitions.py",
+        "abs(ki - lj) >= 2",
+        "abs(ki - lj) >= 1",
+        (COUNT_REFERENCES,),
+    ),
+    Mutant(
+        "one mark too few chosen per even base",
+        "src/wittcoh/partitions.py",
+        "comb(len(leads), q - m)",
+        "comb(len(leads), q - m - 1)",
+        (COUNT_REFERENCES,),
     ),
     Mutant(
         "the family span read from slice q",

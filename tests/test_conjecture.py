@@ -16,10 +16,16 @@ from wittcoh.conjecture import (
     odd_x_relation,
     relation_table,
     scan,
+    standard_count,
     y_relation,
 )
 from wittcoh.monomials import e_cocycle, x_cocycle, y_cocycle
-from wittcoh.partitions import ascending_tuples
+from wittcoh.partitions import (
+    ascending_tuples,
+    count_even_component_marked,
+    even_component_marked,
+    strict_regular_pairs,
+)
 from wittcoh.verify import criterion_conjecture
 
 
@@ -199,3 +205,85 @@ def test_ideal_rank_bounded_by_ambient():
 def test_projection_kills_relations():
     res = criterion_conjecture(16)
     assert res.passed, res.failures
+
+
+def test_counts_match_their_references_on_every_bidegree_to_60():
+    # the standard count against the ranked quotient, the binomial count
+    # against the marked list, and the even-degree count against the pairs
+    try:
+        for n in range(1, 61):
+            for q in range(1, n + 1):
+                cell = f"(q={q}, n={n})"
+                count = standard_count(q, n)
+                assert count == len(monomials_in_bidegree(q, n)) - ideal_rank(q, n), cell
+                assert count_even_component_marked(n, q) == len(even_component_marked(n, q)), cell
+                if n % 2 == 0:
+                    assert count == len(strict_regular_pairs(n, q)), cell
+    finally:
+        wittcoh.clear_caches()
+
+
+def test_leading_terms():
+    assert [str(conjecture._leading_term(terms)) for _, _, terms in relation_table(8)] == [
+        "E^X1", "E^Y1", "X1^Y1",
+    ]
+    for i in range(1, 80):
+        a = i // 3
+        assert conjecture._leading_term(odd_x_relation(i)) == BigradedMonomial(False, (2 * a + 1,), (i - a,)), i
+        assert conjecture._leading_term(y_relation(i)) == BigradedMonomial(False, (), (i, i + 1)), i
+
+
+def test_standard_count_counts_the_words_no_leading_term_divides():
+    try:
+        for n in range(1, 41):
+            leads = [conjecture._leading_term(terms) for _, _, terms in relation_table(n)]
+            for q in range(1, n + 1):
+                words = monomials_in_bidegree(q, n)
+                standard = [w for w in words if all(conjecture._quotient(w, lead) is None for lead in leads)]
+                assert len(standard) == standard_count(q, n), f"(q={q}, n={n})"
+    finally:
+        wittcoh.clear_caches()
+
+
+def test_every_degree_to_80_is_certified():
+    assert all(conjecture._certified(n) for n in range(1, 81))
+    wittcoh.clear_caches()
+
+
+def test_a_dropped_generator_term_is_caught_by_the_certificate_alone(monkeypatch):
+    # X1^Y5 is not the leading term of G_5 = X1^Y5 + X3^Y4 + ... + X9^Y1, so
+    # without it every leading term, and so every count, stays the same, but
+    # the ideal, and so the quotient, changes
+    full = odd_x_relation
+
+    def without_x1_y5(i):
+        return full(i)[1:] if i == 5 else full(i)
+
+    cells = [(q, n) for n in range(1, 41) for q in range(1, n + 1)]
+    wittcoh.clear_caches()
+    leads = [conjecture._leading_term(terms) for _, _, terms in relation_table(40)]
+    counts = [standard_count(q, n) for q, n in cells]
+    rank = ideal_rank(4, 28)
+    wittcoh.clear_caches()
+    monkeypatch.setattr(conjecture, "odd_x_relation", without_x1_y5)
+    try:
+        assert [conjecture._leading_term(terms) for _, _, terms in relation_table(40)] == leads
+        assert [standard_count(q, n) for q, n in cells] == counts
+        assert ideal_rank(4, 28) != rank
+        scan(27)
+        with pytest.raises(ValueError, match=r"^degree 28: the S-pair of the square of X3 and X3\^Y4 \+ X5\^Y3"):
+            scan(28)
+    finally:
+        wittcoh.clear_caches()
+
+
+def test_the_scan_ranks_no_ideal_and_builds_no_marked_partition(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the scan must count, not list")
+
+    for name in ("ideal_rank", "monomials_in_bidegree", "_bidegree_words"):
+        monkeypatch.setattr(conjecture, name, forbidden)
+    for name in ("_unchecked", "__post_init__"):  # the two ways to build one
+        monkeypatch.setattr(partitions.MarkedPartition, name, forbidden)
+    wittcoh.clear_caches()
+    assert scan(24).findings() == []

@@ -28,6 +28,7 @@ assert m.solve(0b11) is not None
 # both drop each degree's slices and bases after it
 assert verify.criterion_wedge_basis(8).passed
 conjecture.scan(8)
+conjecture.ideal_rank(4, 12)  # the scan counts; the rank is its test reference
 dropped = tracing.layer_metrics(tracer)
 assert cli.main(["dims", "--n-max", "10", "--format", "json"], io.StringIO(), io.StringIO()) == 0
 a = cohomology.class_of(monomials.y_cocycle(2))

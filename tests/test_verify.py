@@ -114,7 +114,7 @@ def test_tensor_blocks_total_each_regular_base_once(monkeypatch):
 
 # the memos that later degrees read; every other memo holds one degree
 KEPT = {
-    "cohomology_dim", "_bidegree_words", "relation_table", "_component_masks",
+    "cohomology_dim", "relation_table", "_component_masks",
     "_pair_masks", "max_length", "_partitions",
 }
 
